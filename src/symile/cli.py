@@ -200,10 +200,25 @@ def cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
+# Most points a start:step:stop grid may have.  It is checked before the
+# grid is built, so a mistyped step cannot start a huge allocation.
+MAX_GRID_POINTS = 10_001
+_GRID_HELP = f"start:step:stop or a comma list in [0, 1]; at most {MAX_GRID_POINTS} points"
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
+    """A comma list of values, or start:step:stop with at most
+    MAX_GRID_POINTS points; every value must lie in [0, 1]."""
     if ":" in text:
         start, step, stop = (float(p) for p in text.split(":"))
-        count = int(round((stop - start) / step)) + 1
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise SchemaError(f"grid bounds must be finite: {text!r}")
+        if not (math.isfinite(step) and step > 0.0):
+            raise SchemaError(f"grid step must be finite and positive: {text!r}")
+        span = (stop - start) / step  # may overflow to inf
+        if span > MAX_GRID_POINTS - 1:
+            raise SchemaError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        count = int(round(span)) + 1
         grid = tuple(round(start + k * step, 10) for k in range(count))
     else:
         grid = tuple(float(p) for p in text.split(","))
@@ -330,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("oracle", help="emit exact information quantities over a p-hat grid")
-    p.add_argument("--p-hat-grid", default="0:0.1:1", dest="p_hat_grid")
+    p.add_argument("--p-hat-grid", default="0:0.1:1", dest="p_hat_grid", help=_GRID_HELP)
     p.add_argument("--i-mode", choices=("shared", "per_coordinate"), default="shared", dest="i_mode")
     p.add_argument("--unit", choices=("nats", "bits"), default="nats")
     p.add_argument("--out", required=True)
@@ -351,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="train both objectives over a p-hat grid; emit accuracy and information CSVs",
     )
     p.add_argument("--config", default=None)
-    p.add_argument("--grid", default="0:0.1:1")
+    p.add_argument("--grid", default="0:0.1:1", help=_GRID_HELP)
     p.add_argument("--objectives", default="symile,pairwise_clip")
     p.add_argument("--seeds", default="0")
     p.add_argument("--jobs", type=int, default=1)

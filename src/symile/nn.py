@@ -231,6 +231,12 @@ def finite_diff_grad(
     return grads
 
 
+# Absolute slack of the gradient comparison.  Central differences carry
+# about 1e-11 of rounding noise, so an exactly-zero true gradient needs an
+# allowance above that; 1e-9 is ~100x the noise.
+_GRAD_ABS_FLOOR = 1e-9
+
+
 @dataclass(frozen=True)
 class GradCheckReport:
     """Max relative error per parameter; passes iff all are below tol."""
@@ -254,11 +260,17 @@ def compare_gradients(
     labels: Sequence[str] | None = None,
     tolerance: float = 1e-4,
 ) -> GradCheckReport:
-    """Relative error with denominator max(|analytic|, |numeric|, 1e-8)."""
+    """Relative error |a - n| / (max(|a|, |n|) + _GRAD_ABS_FLOOR / tolerance).
+
+    It stays below ``tolerance`` exactly when
+    |a - n| < tolerance * max(|a|, |n|) + _GRAD_ABS_FLOOR, so large
+    gradients are judged relatively and near-zero ones absolutely.
+    """
     if labels is None:
         labels = [f"param{i}" for i in range(len(analytic))]
+    floor = _GRAD_ABS_FLOOR / tolerance
     errors = []
     for a, n in zip(analytic, numeric, strict=True):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
+        denom = np.maximum(np.abs(a), np.abs(n)) + floor
         errors.append(float(np.max(np.abs(a - n) / denom)) if a.size else 0.0)
     return GradCheckReport(tuple(labels), tuple(errors), tolerance)

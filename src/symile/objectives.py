@@ -21,13 +21,18 @@ the positive-tuple MIPs, and permutations are *not* fixed-point-excluded,
 so a "negative" can collide with its positive.  The two-modality
 directional loss is computed through the same code path, which makes the
 M = 2 reduction of the any-M loss bitwise exact.
+
+Both anchored losses are computed one block of anchor rows at a time
+(about 2^20 logits per block), forward and backward together, so the full
+score matrix never exists.  For "on2" the working memory is one block
+plus O(N*D): no (N^2, D) grid of non-anchor pairs is formed either.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,20 +80,41 @@ def _rows_product(mats: Sequence[np.ndarray]) -> np.ndarray:
     return prod
 
 
-def _on_raw(
-    anchor: np.ndarray, others: Sequence[np.ndarray], perms: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw (unscaled) O(N) logits plus the cached row products.
-
-    Returns (raw, permuted_product, matched_product) where
-    raw[i, j] = <anchor_i, permuted non-anchors at j> off the diagonal and
-    raw[i, i] = <anchor_i, matched non-anchors at i>.
-    """
+def _on_products(
+    others: Sequence[np.ndarray], perms: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(permuted, matched) row products of the non-anchor modalities."""
     permuted = _rows_product([o[p] for o, p in zip(others, perms)])
     matched = _rows_product(list(others))
-    raw = anchor @ permuted.T
-    np.fill_diagonal(raw, (anchor * matched).sum(axis=1))
-    return raw, permuted, matched
+    return permuted, matched
+
+
+def _on_scores(
+    a: np.ndarray,
+    start: int,
+    permuted: np.ndarray,
+    matched: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Raw (unscaled) O(N) logits of the anchor rows ``start:start+len(a)``:
+    <a_i, permuted non-anchors at j> off the diagonal and
+    <a_i, matched non-anchors at i> on it."""
+    raw = np.matmul(a, permuted.T, out=out)
+    local = np.arange(a.shape[0])
+    raw[local, start + local] = (a * matched[start : start + a.shape[0]]).sum(axis=1)
+    return raw
+
+
+def _on2_scores(
+    a: np.ndarray, first: np.ndarray, second: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Raw (unscaled) O(N^2) logits of the anchor rows ``a``: column
+    j*N + k holds <a_i, first_j, second_k>."""
+    n = first.shape[0]
+    if out is None:
+        out = np.empty((a.shape[0], n * n), np.result_type(a, first, second))
+    np.matmul(a[:, None, :] * first, second.T, out=out.reshape(-1, n, n))
+    return out
 
 
 def build_logits_on(
@@ -111,7 +137,7 @@ def build_logits_on(
     perms = [_validate_perm(p, n) for p in perms]
     if len(perms) != len(others):
         raise ValueError(f"expected {len(others)} permutations, got {len(perms)}")
-    raw, _, _ = _on_raw(anchor, others, perms)
+    raw = _on_scores(anchor, 0, *_on_products(others, perms))
     return LogitsMatrix(scale * raw, np.arange(n), anchor_name)
 
 
@@ -131,19 +157,66 @@ def build_logits_on2(
     anchor = reps[anchor_name]
     n = anchor.shape[0]
     first, second = (reps[m] for m in names if m != anchor_name)
-    raw = anchor @ _pair_grid(first, second).T
+    raw = _on2_scores(anchor, first, second)
     return LogitsMatrix(scale * raw, np.arange(n) * (n + 1), anchor_name)
-
-
-def _pair_grid(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """(N^2, D) rows of first_j * second_k, row index j*N + k."""
-    n, d = first.shape
-    return (first[:, None, :] * second[None, :, :]).reshape(n * n, d)
 
 
 # ---------------------------------------------------------------------------
 # Losses with gradients
 # ---------------------------------------------------------------------------
+
+# Logits per row block of an anchored loss.  A block holds at least one
+# row, so it is larger only when a single row is.  The loss's working
+# memory is one block plus O(N*D).
+_BLOCK_LOGITS = 1 << 20
+
+
+def _block_buffer(n: int, k: int, *operands: np.ndarray) -> np.ndarray:
+    """Scratch for one block of rows of an (N, K) anchored score matrix.
+
+    The anchored losses own it for their whole run, so it is freed after
+    their last temporaries.  Freed earlier, those temporaries split the
+    freed block and the next anchor's block grew the heap instead: peak
+    RSS of the N=1000 recipe rose by 2.5 MB.
+    """
+    rows = min(n, max(1, _BLOCK_LOGITS // k))
+    return np.empty((rows, k), np.result_type(*operands))
+
+
+def _blocked_ce(
+    anchor: np.ndarray,
+    block: np.ndarray,
+    scale: float,
+    scores: Callable[[slice, np.ndarray], np.ndarray],
+    backward: Callable[[slice, np.ndarray], np.ndarray],
+) -> tuple[float, np.ndarray, float]:
+    """Mean-over-rows CE of an (N, K) anchored score matrix, built and
+    differentiated one ``block`` of anchor rows at a time.
+
+    ``scores(rows, out)`` writes the raw (unscaled) logits of anchor rows
+    ``rows`` into ``out`` and returns their target columns.
+    ``backward(rows, g)`` receives d loss / d raw for those rows (scale
+    and 1/N folded in; it may overwrite ``g``), accumulates the non-anchor
+    gradients itself and returns the rows of d_anchor.
+    Returns (loss, d_anchor, d_scale).
+    """
+    n = anchor.shape[0]
+    losses: list[np.ndarray] = []
+    d_anchor: list[np.ndarray] = []
+    for start in range(0, n, block.shape[0]):
+        rows = slice(start, min(start + block.shape[0], n))
+        raw = block[: rows.stop - start]
+        targets = scores(rows, raw)
+        raw *= scale
+        block_losses, g = row_softmax_cross_entropy(raw, targets, overwrite=True)
+        g *= scale / n
+        losses.append(block_losses)
+        d_anchor.append(backward(rows, g))
+    d_anchor_all = np.concatenate(d_anchor)
+    # Every logit is linear in its anchor row, so sum(dL/draw * raw) equals
+    # sum(d_anchor * anchor) / scale; this avoids keeping an unscaled copy.
+    d_scale = float((d_anchor_all * anchor).sum()) / scale
+    return float(np.concatenate(losses).mean()), d_anchor_all, d_scale
 
 
 def _anchored_on_loss(
@@ -157,20 +230,25 @@ def _anchored_on_loss(
     Returns (loss, d_anchor, d_others, d_scale).
     """
     n = anchor.shape[0]
-    raw, permuted, matched = _on_raw(anchor, others, perms)
-    raw *= scale
-    losses, g = row_softmax_cross_entropy(raw, np.arange(n), overwrite=True)
-    loss = float(losses.mean())
-    g /= n
+    permuted, matched = _on_products(others, perms)
+    block = _block_buffer(n, n, anchor, permuted)
+    d_permuted = np.zeros_like(permuted)
+    d_matched = np.empty_like(matched)
 
-    # d loss / d raw = scale * g; fold the factor into g once.
-    g *= scale
-    scaled_diag = np.diag(g).copy()
-    np.fill_diagonal(g, 0.0)
+    def scores(rows: slice, out: np.ndarray) -> np.ndarray:
+        _on_scores(anchor[rows], rows.start, permuted, matched, out=out)
+        return np.arange(rows.start, rows.stop)
 
-    d_anchor = g @ permuted + scaled_diag[:, None] * matched
-    d_permuted = g.T @ anchor
-    d_matched = scaled_diag[:, None] * anchor
+    def backward(rows: slice, g: np.ndarray) -> np.ndarray:
+        a = anchor[rows]
+        local = np.arange(g.shape[0])
+        diag = g[local, rows.start + local]
+        g[local, rows.start + local] = 0.0
+        d_permuted[...] += g.T @ a
+        d_matched[rows] = diag[:, None] * a
+        return g @ permuted + diag[:, None] * matched[rows]
+
+    loss, d_anchor, d_scale = _blocked_ce(anchor, block, scale, scores, backward)
     d_others: list[np.ndarray] = []
     for m in range(len(others)):
         perm_rest = [others[j][perms[j]] for j in range(len(others)) if j != m]
@@ -179,10 +257,6 @@ def _anchored_on_loss(
         d_o[perms[m]] = d_permuted * _rows_product(perm_rest) if perm_rest else d_permuted
         d_o += d_matched * _rows_product(match_rest) if match_rest else d_matched
         d_others.append(d_o)
-
-    # Every logit is linear in its anchor row, so sum(dL/draw * raw) equals
-    # sum(d_anchor * anchor) / scale; this avoids keeping an unscaled copy.
-    d_scale = float((d_anchor * anchor).sum()) / scale
     return loss, d_anchor, d_others, d_scale
 
 
@@ -192,20 +266,29 @@ def _anchored_on2_loss(
     second: np.ndarray,
     scale: float,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Mean-over-rows CE of the O(N^2) logits, with gradients."""
-    n, d = anchor.shape
-    grid = _pair_grid(first, second)
-    raw = anchor @ grid.T
-    losses, g = row_softmax_cross_entropy(scale * raw, np.arange(n) * (n + 1))
-    loss = float(losses.mean())
-    g /= n
-    d_scale = float((g * raw).sum())
-    g *= scale
+    """Mean-over-rows CE of the O(N^2) logits, with gradients.
 
-    d_anchor = g @ grid
-    d_grid = (g.T @ anchor).reshape(n, n, d)
-    d_first = np.einsum("jkd,kd->jd", d_grid, second)
-    d_second = np.einsum("jkd,jd->kd", d_grid, first)
+    No (N^2, D) pair grid is formed: each block's logits and its backward
+    pass contract one non-anchor modality at a time.
+    """
+    n = anchor.shape[0]
+    block = _block_buffer(n, n * n, anchor, first, second)
+    d_first = np.zeros_like(first)
+    d_second = np.zeros_like(second)
+
+    def scores(rows: slice, out: np.ndarray) -> np.ndarray:
+        _on2_scores(anchor[rows], first, second, out=out)
+        return np.arange(rows.start, rows.stop) * (n + 1)
+
+    def backward(rows: slice, g: np.ndarray) -> np.ndarray:
+        a = anchor[rows]
+        g = g.reshape(-1, n, n)  # [b, j, k]
+        h = g @ second  # [b, j, d] = sum_k g[b, j, k] second[k, d]
+        d_first[...] += np.einsum("bjd,bd->jd", h, a)
+        d_second[...] += np.einsum("bkd,bd->kd", g.transpose(0, 2, 1) @ first, a)
+        return np.einsum("bjd,jd->bd", h, first)
+
+    loss, d_anchor, d_scale = _blocked_ce(anchor, block, scale, scores, backward)
     return loss, d_anchor, d_first, d_second, d_scale
 
 

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from symile import cli
 from symile.cli import main
 from symile.fileio import read_dataset
 from symile.train import load_checkpoint
@@ -170,6 +171,30 @@ class TestOracleCommand:
             main(["oracle", "--p-hat-grid", "0:0.5:1", "--out", out])
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("grid", ["0:0:1", "0:-0.1:1", "0:nan:1", "0:inf:1"])
+    def test_bad_step_exit_2(self, tmp_path, capsys, grid):
+        out = str(tmp_path / "o.csv")
+        assert main(["oracle", "--p-hat-grid", grid, "--out", out]) == 2
+        assert "step" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_tiny_step_rejected_before_building_grid(self, tmp_path, capsys, monkeypatch):
+        # the grid tuple is the only tuple() call in parsing; refusing it
+        # proves the point count is checked first
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(cli, "tuple", no_grid, raising=False)
+        out = str(tmp_path / "o.csv")
+        assert main(["oracle", "--p-hat-grid", "0:1e-12:1", "--out", out]) == 2
+        assert f"more than {cli.MAX_GRID_POINTS} points" in capsys.readouterr().err
+        sweep_dir = str(tmp_path / "sweep")
+        assert main(["reproduce-fig3", "--grid", "0:1e-12:1", "--out-dir", sweep_dir]) == 2
+        assert not os.path.exists(out) and not os.path.exists(sweep_dir)
+
+    def test_largest_grid_accepted(self):
+        assert len(cli._parse_grid(f"0:{1 / (cli.MAX_GRID_POINTS - 1)}:1")) == cli.MAX_GRID_POINTS
 
 
 class TestDiagnoseCommand:

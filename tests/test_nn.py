@@ -189,3 +189,20 @@ class TestFiniteDiff:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             finite_diff_grad(lambda p: 0.0, [np.zeros(1)], eps=0.0)
+
+
+class TestCompareGradients:
+    def test_zero_true_gradient_passes_rounding_noise(self):
+        # central differences of a flat direction give ~1e-11 of noise
+        report = compare_gradients([np.array([0.0, 2.0])], [np.array([1e-11, 2.0])])
+        assert report.passed, report.max_rel_error
+
+    def test_relative_error_1e3_fails(self):
+        a = np.array([1.0, -3.0])
+        report = compare_gradients([a], [a * (1.0 + 1e-3)])
+        assert not report.passed
+        assert report.max_rel_error == pytest.approx(1e-3, rel=1e-2)
+
+    def test_absolute_error_above_floor_fails(self):
+        report = compare_gradients([np.array([0.0])], [np.array([1e-8])])
+        assert not report.passed

@@ -5,12 +5,16 @@ two-modality reduction)."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symile import objectives
+from symile.diagnostics import run_gradient_check
+from symile.errors import NonFiniteError
 from symile.nn import softmax_cross_entropy
 from symile.objectives import (
     build_logits_on,
@@ -343,3 +347,104 @@ class TestSymileLoss:
         loss_eps, _ = symile_loss(bumped, 1.0, "on", perms=perms)
         predicted = sum(float((d_reps[m] * direction[m]).sum()) for m in reps)
         assert (loss_eps - loss) / eps == pytest.approx(predicted, rel=1e-3)
+
+
+def brute_force_loss(reps, scale, strategy, perms=None):
+    """Anchor-averaged loss from a full score tensor built by einsum, one
+    anchor at a time, with a plain log-sum-exp per row."""
+    names = list(reps)
+    n = reps[names[0]].shape[0]
+    per_anchor = {}
+    for anchor in names:
+        a = reps[anchor]
+        others = [reps[m] for m in names if m != anchor]
+        if strategy == "on2":
+            logits = np.einsum("id,jd,kd->ijk", a, *others).reshape(n, n * n)
+            targets = np.arange(n) * (n + 1)
+        else:
+            permuted = np.prod([o[p] for o, p in zip(others, perms[anchor])], axis=0)
+            logits = a @ permuted.T
+            logits[np.arange(n), np.arange(n)] = np.einsum("id,id->i", a, np.prod(others, axis=0))
+            targets = np.arange(n)
+        logits = scale * logits
+        top = logits.max(axis=1, keepdims=True)
+        lse = top[:, 0] + np.log(np.exp(logits - top).sum(axis=1))
+        per_anchor[anchor] = float(np.mean(lse - logits[np.arange(n), targets]))
+    return float(np.mean(list(per_anchor.values()))), per_anchor
+
+
+class TestRowBlocks:
+    """The anchored losses run one block of anchor rows at a time; a
+    small block constant makes N = 37 span six blocks of 7 rows, the last
+    with 2, in float64."""
+
+    N, ROWS = 37, 7
+
+    def batch(self, seed=30):
+        rng = np.random.default_rng(seed)
+        reps = rand_reps(rng, "xyz", self.N, 5)
+        perms = {
+            a: objectives.draw_anchor_perms(seed, list(reps), a, self.N) for a in reps
+        }
+        return reps, perms
+
+    def blocked(self, mp, strategy, record):
+        """Set ROWS rows per block and record every block's logits."""
+        k = self.N if strategy == "on" else self.N**2
+        mp.setattr(objectives, "_BLOCK_LOGITS", self.ROWS * k)
+        ce = objectives.row_softmax_cross_entropy
+
+        def spy(logits, targets, overwrite=False):
+            record.append(logits.copy())
+            return ce(logits, targets, overwrite)
+
+        mp.setattr(objectives, "row_softmax_cross_entropy", spy)
+
+    @pytest.mark.parametrize("strategy", ["on", "on2"])
+    def test_blocked_matches_single_block_and_brute_force(self, monkeypatch, strategy):
+        reps, perms = self.batch()
+        perms = perms if strategy == "on" else None
+        loss1, bd1, d_reps1, d_scale1 = symile_loss_grads(reps, 1.7, strategy, perms=perms)
+        blocks = []
+        self.blocked(monkeypatch, strategy, blocks)
+        loss, bd, d_reps, d_scale = symile_loss_grads(reps, 1.7, strategy, perms=perms)
+        assert [b.shape[0] for b in blocks] == [7, 7, 7, 7, 7, 2] * 3
+        ref_loss, ref_bd = brute_force_loss(reps, 1.7, strategy, perms)
+        assert loss == pytest.approx(ref_loss, abs=1e-12)
+        assert loss == pytest.approx(loss1, abs=1e-12)
+        for m in reps:
+            assert bd[m] == pytest.approx(ref_bd[m], abs=1e-12)
+            assert bd[m] == pytest.approx(bd1[m], abs=1e-12)
+            np.testing.assert_allclose(d_reps[m], d_reps1[m], rtol=0, atol=1e-12)
+        assert d_scale == pytest.approx(d_scale1, abs=1e-12)
+
+    def test_gradient_check_with_one_row_per_block(self, monkeypatch):
+        monkeypatch.setattr(objectives, "_BLOCK_LOGITS", 1)
+        report = run_gradient_check(n_configs=10, seed=3)
+        assert report.passed, dict(zip(report.labels, report.max_rel_errors))
+
+    @pytest.mark.parametrize("strategy", ["on", "on2"])
+    def test_nan_in_last_block_raises(self, monkeypatch, strategy):
+        reps, perms = self.batch()
+        reps["x"][self.N - 1, 0] = np.nan
+        blocks = []
+        self.blocked(monkeypatch, strategy, blocks)
+        with pytest.raises(NonFiniteError):
+            symile_loss_grads(reps, 1.7, strategy, perms=perms if strategy == "on" else None)
+        # x anchors first: five finite blocks, then the ragged last one
+        assert [bool(np.isfinite(b).all()) for b in blocks] == [True] * 5 + [False]
+        assert blocks[-1].shape[0] == 2
+
+
+def test_on2_memory_stays_bounded():
+    """One on2 call at N=256, D=16 in float32 holds one row block of
+    logits plus O(N*D), not the 64 MiB N x N^2 score matrix."""
+    rng = np.random.default_rng(31)
+    reps = {m: r.astype(np.float32) for m, r in rand_reps(rng, "xyz", 256, 16).items()}
+    tracemalloc.start()
+    try:
+        symile_loss_grads(reps, 5.0, "on2")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
