@@ -369,7 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0:0.1:1", help=_GRID_HELP)
     p.add_argument("--objectives", default="symile,pairwise_clip")
     p.add_argument("--seeds", default="0")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="cells run on this many threads (at least 1), each cell's BLAS calls on one "
+        "thread; outputs are byte-identical at any value",
+    )
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_reproduce_fig3)
 

@@ -5,14 +5,22 @@ information quantities (the two panels of the synthetic benchmark figure).
 
 Cells are independent and resumable: each (config, p_hat, objective,
 seed) cell owns a directory keyed by the config hash, and cells with an
-existing result file are skipped.  Failed cells are reported at the end
-without discarding completed ones.
+existing result file are skipped.  Failed cells are reported at the end,
+in grid order, without discarding completed ones.
+
+Cells run their BLAS calls on one OpenBLAS thread at every ``jobs``: at
+these shapes a second BLAS thread loses more than it gains, ``jobs``
+cell threads sharing one BLAS pool oversubscribe the CPUs, and one thread
+makes every output byte-identical across ``jobs``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -20,6 +28,7 @@ from typing import Any
 from . import fileio
 from .data import apply_missingness, split
 from .data import gen_synth
+from .errors import SchemaError
 from .evaluation import bootstrap_accuracy, classify_target
 from .oracle import (
     InfoReport,
@@ -122,9 +131,17 @@ def run_cell(
         # relative to out_dir so aggregate CSVs are byte-stable across runs
         "checkpoint_path": os.path.relpath(ckpt_path, out_dir),
     }
-    with open(result_path, "w", newline="\n") as f:
-        f.write(fileio.provenance_line(seed, spec.hash()) + "\n")
-        f.write(fileio.canonical_json(row) + "\n")
+    # Resume trusts any result.json it finds, so one must never be partial:
+    # write a temporary file and rename it over the result in one step.
+    tmp_path = result_path + ".tmp"
+    try:
+        with open(tmp_path, "w", newline="\n") as f:
+            f.write(fileio.provenance_line(seed, spec.hash()) + "\n")
+            f.write(fileio.canonical_json(row) + "\n")
+        os.replace(tmp_path, result_path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
     return row
 
 
@@ -157,6 +174,73 @@ def information_rows(
     return rows
 
 
+# (get, set) symbol pairs of OpenBLAS's thread count, in the order tried:
+# numpy's own wheels, 64-bit-integer builds, then plain builds.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads() -> tuple[Any, Any] | None:
+    """(get, set) of the thread count of the OpenBLAS loaded in this
+    process, or None when no known pair is found."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+        for lib in libs:
+            handle = ctypes.CDLL(lib)
+            for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+                get = getattr(handle, get_name, None)
+                set_ = getattr(handle, set_name, None)
+                if get is not None and set_ is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    return get, set_
+    except OSError:
+        pass
+    return None
+
+
+class _OneBlasThread:
+    """Context manager: OpenBLAS runs on one thread inside, and its earlier
+    thread count comes back on exit, also when the body raises.  Nested and
+    concurrent uses share the cap: the first to enter saves the count and
+    the last to leave restores it.  Without OpenBLAS it does nothing."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+
+    def __enter__(self) -> None:
+        api = _openblas_threads()
+        if api is None:
+            return
+        get, set_ = api
+        with self._lock:
+            if self._depth == 0:
+                self._saved = get()
+                set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc: object) -> None:
+        api = _openblas_threads()
+        if api is None:
+            return
+        _, set_ = api
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                set_(self._saved)
+
+
+# One per process, like the OpenBLAS thread count it guards.
+_one_blas_thread = _OneBlasThread()
+
+
 @dataclass
 class SweepOutcome:
     accuracy_csv: str
@@ -166,7 +250,10 @@ class SweepOutcome:
 
 
 def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> SweepOutcome:
-    """Run (or resume) every cell, then write the two aggregate CSVs."""
+    """Run (or resume) every cell on up to ``jobs`` threads (at least 1),
+    then write the two aggregate CSVs."""
+    if jobs < 1:
+        raise SchemaError(f"jobs must be at least 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
     cells = [
         (p, obj, seed)
@@ -175,26 +262,29 @@ def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> SweepOutcome:
         for seed in spec.seeds
     ]
     results: dict[tuple, dict[str, Any]] = {}
-    failures: list[tuple[float, str, int, str]] = []
+    errors: dict[tuple, str] = {}
 
     def run_one(cell: tuple) -> None:
         p, obj, seed = cell
         try:
             results[cell] = run_cell(spec, p, obj, seed, out_dir)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            failures.append((p, obj, seed, f"{type(exc).__name__}: {exc}"))
+            errors[cell] = f"{type(exc).__name__}: {exc}"
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_one, cells))
-    else:
-        for cell in cells:
-            run_one(cell)
+    workers = min(jobs, len(cells))
+    with _one_blas_thread:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run_one, cells))
+        else:
+            for cell in cells:
+                run_one(cell)
 
     sweep_hash = spec.hash()
     seed0 = spec.seeds[0]
     accuracy_csv = os.path.join(out_dir, "accuracy.csv")
     rows = [results[c] for c in cells if c in results]
+    failures = [(*c, errors[c]) for c in cells if c in errors]
     fileio.write_csv(
         accuracy_csv,
         ACCURACY_HEADER,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -61,8 +62,15 @@ class TrainConfig:
             raise SchemaError("epochs must be >= 1")
         if self.batch_size < 2:
             raise SchemaError("batch_size must be >= 2 for contrastive losses")
+        for name in ("lr", "weight_decay", "t_init"):
+            if not math.isfinite(getattr(self, name)):
+                raise SchemaError(f"{name} must be finite")
         if self.lr <= 0.0:
             raise SchemaError("lr must be positive")
+        with np.errstate(over="ignore", under="ignore"):
+            scale = np.exp(self.t_init)  # the score scale, as the model computes it
+        if not 0.0 < scale < np.inf:
+            raise SchemaError(f"exp(t_init) must be positive and finite, got {scale}")
         if not 0.0 <= self.p_missing < 1.0:
             raise SchemaError("p_missing must lie in [0, 1)")
         if self.dtype not in ("float32", "float64"):

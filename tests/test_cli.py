@@ -130,6 +130,27 @@ class TestTrainEvalProbe:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("lr", math.nan),
+            ("lr", math.inf),
+            ("weight_decay", math.nan),
+            ("weight_decay", -math.inf),
+            ("t_init", math.nan),
+            ("t_init", -800.0),  # exp underflows to a scale of 0
+            ("t_init", 800.0),  # exp overflows to an infinite scale
+        ],
+    )
+    def test_non_finite_or_degenerate_number_exit_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY_CONFIG, key: value}))
+        assert main(["train", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key.split("_")[0] in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "checkpoint.json")
+
     def test_seed_env_override(self, tmp_path, tiny_config_path, monkeypatch, capsys):
         monkeypatch.setenv("SYMILE_SEED", "99")
         out_dir = str(tmp_path / "run99")

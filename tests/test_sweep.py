@@ -1,0 +1,295 @@
+"""Sweep runner: one OpenBLAS thread per cell, outputs byte-identical at any
+--jobs, pool sizing, failure order and atomic cell results."""
+
+import json
+import os
+import sys
+import threading
+import time
+
+import pytest
+
+from symile import sweep
+from symile.cli import main
+from symile.errors import SchemaError
+from symile.sweep import SweepSpec, run_sweep
+
+TINY_CONFIG = {
+    "dataset": "synth5d",
+    "objective": "symile",
+    "epochs": 2,
+    "batch_size": 32,
+    "lr": 0.05,
+    "d_out": 8,
+    "seed": 0,
+    "split": {"train": 128, "val": 64, "test": 64},
+}
+
+needs_openblas = pytest.mark.skipif(
+    sweep._openblas_threads() is None,
+    reason="no known OpenBLAS get/set thread-count symbol pair is loaded",
+)
+
+
+def tree_bytes(root):
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
+    return out
+
+
+def fake_row(spec, p_hat, objective, seed, out_dir):
+    return {
+        "p_hat": p_hat,
+        "objective": objective,
+        "strategy": "on",
+        "seed": seed,
+        "mean_acc": 0.5,
+        "se": 0.0,
+        "n_test": 1,
+        "checkpoint_path": "none",
+    }
+
+
+def two_cell_spec():
+    return SweepSpec(p_hat_grid=(0.0, 1.0), objectives=("symile",), dims=1)
+
+
+@pytest.fixture()
+def blas_threads():
+    """OpenBLAS's (get, set), with the count set to 2 for the test so that
+    a restore is told apart from the cap, and put back afterwards."""
+    get, set_ = sweep._openblas_threads()
+    before = get()
+    set_(2)
+    yield get, set_
+    set_(before)
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_outputs_byte_identical_across_jobs(self, tmp_path, dtype, seed):
+        # The sweep benchmark's batch and width: at smaller shapes OpenBLAS
+        # runs one thread anyway, and the check could not see a second.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            **TINY_CONFIG, "dtype": dtype, "seed": seed, "batch_size": 500, "d_out": 16,
+            "split": {"train": 1000, "val": 500, "test": 64},
+        }))
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["reproduce-fig3", "--config", str(cfg), "--grid", "0,1",
+                         "--seeds", str(seed), "--jobs", jobs, "--out-dir", str(out)]) == 0
+            trees.append(tree_bytes(out))
+        assert len(trees[0]) == 2 + 2 * 4  # two CSVs; result and checkpoint per cell
+        assert trees[0] == trees[1]
+
+    @needs_openblas
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cells_see_one_thread_and_count_is_restored(
+        self, tmp_path, monkeypatch, blas_threads, jobs
+    ):
+        get, _ = blas_threads
+        before = get()
+        seen = []
+
+        def recording_cell(*args):
+            seen.append(get())
+            return fake_row(*args)
+
+        monkeypatch.setattr(sweep, "run_cell", recording_cell)
+        outcome = run_sweep(two_cell_spec(), str(tmp_path), jobs=jobs)
+        assert seen == [1, 1] and not outcome.failures
+        assert get() == before
+
+    @needs_openblas
+    def test_count_restored_after_cells_raise(self, tmp_path, monkeypatch, blas_threads):
+        get, _ = blas_threads
+        before = get()
+
+        def failing_cell(*args):
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr(sweep, "run_cell", failing_cell)
+        outcome = run_sweep(two_cell_spec(), str(tmp_path), jobs=2)
+        assert len(outcome.failures) == 2
+        assert get() == before
+
+        class Interrupted(BaseException):
+            pass
+
+        def interrupted_cell(*args):
+            raise Interrupted
+
+        monkeypatch.setattr(sweep, "run_cell", interrupted_cell)
+        with pytest.raises(Interrupted):
+            run_sweep(two_cell_spec(), str(tmp_path / "b"), jobs=1)
+        assert get() == before
+
+    @needs_openblas
+    def test_overlapping_sweeps_share_the_cap(self, tmp_path, monkeypatch, blas_threads):
+        # Sweep B starts first and ends while sweep A is still in its cell:
+        # A must keep one thread, and the count must end where it began.
+        get, _ = blas_threads
+        before = get()
+        b_in, a_in, b_done = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def cell(spec, p_hat, *rest):
+            if p_hat == 1.0:  # sweep B
+                b_in.set()
+                assert a_in.wait(10)
+            else:  # sweep A
+                a_in.set()
+                assert b_done.wait(10)
+            seen[p_hat] = get()
+            return fake_row(spec, p_hat, *rest)
+
+        def sweep_b():
+            run_sweep(SweepSpec(p_hat_grid=(1.0,), objectives=("symile",), dims=1),
+                      str(tmp_path / "b"))
+            b_done.set()
+
+        monkeypatch.setattr(sweep, "run_cell", cell)
+        thread = threading.Thread(target=sweep_b)
+        thread.start()
+        assert b_in.wait(10)
+        run_sweep(SweepSpec(p_hat_grid=(0.0,), objectives=("symile",), dims=1),
+                  str(tmp_path / "a"))
+        thread.join(10)
+        assert not thread.is_alive()
+        assert seen == {0.0: 1, 1.0: 1}
+        assert get() == before
+
+    @needs_openblas
+    def test_many_concurrent_sweeps(self, tmp_path, monkeypatch, blas_threads):
+        # more sweep threads and cell threads than cores, switching often:
+        # a lost update to the shared cap would leave a cell on two threads
+        # or the count unrestored
+        get, _ = blas_threads
+        before = get()
+        seen = []
+
+        def recording_cell(*args):
+            seen.append(get())
+            return fake_row(*args)
+
+        def one_sweep(k):
+            run_sweep(two_cell_spec(), str(tmp_path / str(k)), jobs=2)
+
+        monkeypatch.setattr(sweep, "run_cell", recording_cell)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=one_sweep, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [1] * 16
+        assert get() == before
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected_before_any_cell(self, tmp_path, monkeypatch, capsys, jobs):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(sweep, "run_cell", no_cell)
+        out = tmp_path / "sweep"
+        with pytest.raises(SchemaError, match="jobs"):
+            run_sweep(two_cell_spec(), str(out), jobs=jobs)
+        assert main(["reproduce-fig3", "--grid", "0,1", "--jobs", str(jobs),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: jobs must be at least 1")
+        assert not out.exists()
+
+    def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sweep, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sweep, "run_cell", fake_row)
+        outcome = run_sweep(two_cell_spec(), str(tmp_path), jobs=10**6)
+        assert asked == [2] and len(outcome.rows) == 2
+
+
+class TestFailures:
+    def test_failures_follow_grid_order(self, tmp_path, monkeypatch):
+        def failing_cell(spec, p_hat, objective, seed, out_dir):
+            if p_hat == 0.0:
+                time.sleep(0.2)  # the first cell finishes last
+            raise RuntimeError(f"cell {p_hat}")
+
+        monkeypatch.setattr(sweep, "run_cell", failing_cell)
+        outcome = run_sweep(two_cell_spec(), str(tmp_path), jobs=2)
+        assert outcome.failures == [
+            (0.0, "symile", 0, "RuntimeError: cell 0.0"),
+            (1.0, "symile", 0, "RuntimeError: cell 1.0"),
+        ]
+
+
+class TestAtomicResult:
+    def test_interrupted_write_leaves_no_result(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY_CONFIG))
+        out = tmp_path / "sweep"
+        args = ["reproduce-fig3", "--config", str(cfg), "--grid", "1",
+                "--objectives", "symile", "--out-dir", str(out)]
+
+        class HalfWrite:
+            """A file whose second write raises, after the first has gone out."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 1:
+                    self.f.write(text[: len(text) // 2])
+                    raise OSError("disk full")
+                return self.f.write(text)
+
+        real_open = open
+
+        def half_open(path, mode="r", **kwargs):
+            f = real_open(path, mode, **kwargs)
+            return HalfWrite(f) if "w" in mode else f
+
+        monkeypatch.setattr(sweep, "open", half_open, raising=False)
+        assert main(args) == 3
+        assert "disk full" in capsys.readouterr().err
+        (cell,) = (out / "cells").iterdir()
+        assert sorted(p.name for p in cell.iterdir()) == ["checkpoint.json"]
+
+        monkeypatch.undo()
+        assert main(args) == 0
+        assert sorted(p.name for p in cell.iterdir()) == ["checkpoint.json", "result.json"]
+        assert len((out / "accuracy.csv").read_text().splitlines()) == 3
