@@ -17,9 +17,6 @@ from .evaluation import (
 from .model import ModelParams, init_params
 from .nn import AffineEncoder, adamw_step, affine_forward, finite_diff_grad, softmax_cross_entropy
 from .objectives import (
-    LogitsMatrix,
-    build_logits_on,
-    build_logits_on2,
     clip_pair_loss,
     mip,
     pairwise_clip_loss,
@@ -48,7 +45,6 @@ __all__ = [
     "Checkpoint",
     "Dataset",
     "JointTable",
-    "LogitsMatrix",
     "ModelParams",
     "RetrievalResult",
     "SplitSpec",
@@ -60,8 +56,6 @@ __all__ = [
     "apply_missingness",
     "bootstrap_accuracy",
     "bound_value",
-    "build_logits_on",
-    "build_logits_on2",
     "build_synth_table",
     "build_xor1d_table",
     "calibrated_conditional",

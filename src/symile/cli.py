@@ -60,8 +60,9 @@ def _load_run_config(path: str) -> dict[str, Any]:
     if doc["dataset"] not in ("xor1d", "synth5d"):
         raise SchemaError(f"unknown dataset {doc['dataset']!r}")
     doc.setdefault("p_hat", 1.0)
-    if not 0.0 <= doc["p_hat"] <= 1.0:
-        raise SchemaError("p_hat must lie in [0, 1]")
+    p_hat = doc["p_hat"]
+    if not isinstance(p_hat, (int, float)) or isinstance(p_hat, bool) or not 0.0 <= p_hat <= 1.0:
+        raise SchemaError(f"p_hat must be a number in [0, 1], got {p_hat!r}")
     doc.setdefault("i_mode", "shared")
     return doc
 

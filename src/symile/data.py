@@ -7,10 +7,12 @@ substreams so e.g. adding missingness never changes the data draw.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SchemaError
 from .rng import substream
 
 
@@ -24,7 +26,10 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         for name in ("train", "val", "test"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise SchemaError(f"split {name} count must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} count must be >= 1")
 
     @property

@@ -119,6 +119,18 @@ def encode_batch(
     return reps
 
 
+def _input_states(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first row of each distinct input row, state of every row).
+
+    Rows are compared as raw bytes, which can split rows that are equal in
+    value (0.0 and -0.0) but never merges rows that differ.
+    """
+    x = np.ascontiguousarray(x)
+    keys = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).ravel()
+    _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+    return first, rows
+
+
 def loss_and_grads(
     params: ModelParams,
     inputs: Mapping[str, np.ndarray],
@@ -127,14 +139,21 @@ def loss_and_grads(
     seed: int | None = None,
     perms: Mapping[str, Sequence[np.ndarray]] | None = None,
 ) -> tuple[float, dict[str, float], list[np.ndarray]]:
-    """(loss, per-term breakdown, gradients in ``flatten_params`` order)."""
+    """(loss, per-term breakdown, gradients in ``flatten_params`` order).
+
+    Each modality's encoder runs once per distinct input row, and the loss
+    scores the distinct states with their counts; the backward passes of
+    the normalization and the encoder are linear in the representation
+    gradient, so summing it over a state's rows first is exact.
+    """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     names = params.names
     if set(inputs) != set(names):
         raise ValueError(f"inputs {sorted(inputs)} do not match modalities {names}")
 
-    pre: dict[str, np.ndarray] = {}
+    distinct: dict[str, np.ndarray] = {}
+    rows: dict[str, np.ndarray] = {}
     norms: dict[str, np.ndarray] = {}
     reps: dict[str, np.ndarray] = {}
     for name in names:
@@ -144,10 +163,11 @@ def loss_and_grads(
             raise ValueError(
                 f"modality {name!r}: input dim {x.shape[1]} != encoder d_in {enc.d_in}"
             )
-        z = x @ enc.W.T + enc.b
+        first, rows[name] = _input_states(x)
+        distinct[name] = x[first]
+        z = distinct[name] @ enc.W.T + enc.b
         if enc.normalize:
-            r, nrm = normalize_rows(z)
-            pre[name], norms[name], reps[name] = z, nrm, r
+            reps[name], norms[name] = normalize_rows(z)
         else:
             reps[name] = z
 
@@ -156,12 +176,12 @@ def loss_and_grads(
         if scales.size != 1:
             raise ValueError("the anchor-averaged objective uses a single scale")
         loss, breakdown, d_reps, d_scale = symile_loss_grads(
-            reps, float(scales[0]), strategy, seed=seed, perms=perms
+            reps, float(scales[0]), strategy, seed=seed, perms=perms, rows=rows
         )
         d_scales = np.array([d_scale])
     else:
         loss, d_reps, d_scales = pairwise_clip_loss_grads(
-            reps, scales if scales.size > 1 else float(scales[0])
+            reps, scales if scales.size > 1 else float(scales[0]), rows=rows
         )
         breakdown = {"pairwise_clip": loss}
 
@@ -174,7 +194,7 @@ def loss_and_grads(
             if enc.normalize
             else d_r
         )
-        grads.extend([d_z.T @ inputs[name], d_z.sum(axis=0)])
+        grads.extend([d_z.T @ distinct[name], d_z.sum(axis=0)])
     if scales.size == d_scales.size:
         grads.append(d_scales * scales)  # d loss / d log_scale
     else:

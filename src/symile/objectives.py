@@ -4,42 +4,51 @@ The MIP of M equal-length vectors is the coordinate-wise sum of their
 element-wise product, sum_d prod_m v[m][d] -- the natural generalization
 of the dot product used to score tuples of modality representations.
 
-Two families of losses are provided, with analytic gradients:
-
-* the classic two-modality contrastive loss (and its pairwise sum over
-  all modality pairs), whose logits are temperature-scaled dot products
-  with full in-batch denominators;
-* the any-M loss, where each modality in turn anchors a batch of one
-  positive tuple and in-batch negatives formed either by randomly
-  permuting the non-anchor modalities (K = N candidates per row, "on")
-  or, for M = 3, by taking all combinations of the two non-anchor
-  modalities (K = N^2 candidates per row, "on2").
+Two families of losses are provided, with analytic gradients: the
+two-modality contrastive loss (and its sum over modality pairs), and the
+any-M loss, where each modality in turn anchors one positive tuple and
+in-batch negatives made by permuting the non-anchor modalities (K = N
+candidates per row, "on") or, for M = 3, by taking all combinations of
+the two non-anchor modalities (K = N^2 candidates per row, "on2").
 
 The "on" construction follows the reference recipe exactly: negatives are
 anchor @ (prod of permuted non-anchors).T with the diagonal overwritten by
 the positive-tuple MIPs, and permutations are *not* fixed-point-excluded,
-so a "negative" can collide with its positive.  The two-modality
-directional loss is computed through the same code path, which makes the
-M = 2 reduction of the any-M loss bitwise exact.
+so a "negative" can collide with its positive.  The two-modality loss is
+the mean of two anchored "on" terms with identity permutations, so the
+M = 2 reduction of the any-M loss is bitwise exact.
 
-Both anchored losses are computed one block of anchor rows at a time
-(about 2^20 logits per block), forward and backward together, so the full
-score matrix never exists.  For "on2" the working memory is one block
-plus O(N*D): no (N^2, D) grid of non-anchor pairs is formed either.
+One state-grouped kernel computes every loss.  A logit depends only on
+the states of its row and its column, so rows are grouped into distinct
+anchor states and columns into distinct candidate states with counts:
+the N x K scores shrink to U x Q.  The optional ``rows`` index maps every
+batch row to its state; ``None`` gives every row its own state (the
+continuous case, same code).  The model groups rows whose raw encoder
+inputs are equal byte for byte, which can split rows equal in value (0.0
+and -0.0) but never merges rows that differ, so grouping is exact.  For
+"on", row i drops one copy of its column's tuple and gains its positive.
+The dropped term is subtracted only where it is at most half its state's
+sum; a row whose column holds more is computed alone, with its own shift,
+so nothing cancels.  Blocks of anchor states of about 2^18 scores bound
+the working memory to a few blocks plus O((N + Q) D), also when every
+state is distinct; "on2" forms no (Q, D) grid of the non-anchor pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .nn import row_softmax_cross_entropy
+from .errors import NonFiniteError
+from .nn import row_softmax_cross_entropy  # noqa: F401 - kept as a traced name
 from .rng import substream
 
 STRATEGIES = ("on", "on2")
+
+Rows = Mapping[str, np.ndarray]
 
 
 def mip(vectors: Sequence[np.ndarray]) -> float:
@@ -56,16 +65,6 @@ def mip(vectors: Sequence[np.ndarray]) -> float:
     return float(prod.sum())
 
 
-@dataclass(frozen=True)
-class LogitsMatrix:
-    """Per-anchor score matrix; row i's target column holds sample i's
-    positive-tuple MIP (column i for "on", column i*N+i for "on2")."""
-
-    values: np.ndarray  # (N, K)
-    targets: np.ndarray  # (N,)
-    anchor: str
-
-
 def _validate_perm(perm: np.ndarray, n: int) -> np.ndarray:
     perm = np.asarray(perm)
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
@@ -73,230 +72,248 @@ def _validate_perm(perm: np.ndarray, n: int) -> np.ndarray:
     return perm
 
 
-def _rows_product(mats: Sequence[np.ndarray]) -> np.ndarray:
-    prod = mats[0].copy()
-    for m in mats[1:]:
-        prod *= m
-    return prod
-
-
-def _on_products(
-    others: Sequence[np.ndarray], perms: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(permuted, matched) row products of the non-anchor modalities."""
-    permuted = _rows_product([o[p] for o, p in zip(others, perms)])
-    matched = _rows_product(list(others))
-    return permuted, matched
-
-
-def _on_scores(
-    a: np.ndarray,
-    start: int,
-    permuted: np.ndarray,
-    matched: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Raw (unscaled) O(N) logits of the anchor rows ``start:start+len(a)``:
-    <a_i, permuted non-anchors at j> off the diagonal and
-    <a_i, matched non-anchors at i> on it."""
-    raw = np.matmul(a, permuted.T, out=out)
-    local = np.arange(a.shape[0])
-    raw[local, start + local] = (a * matched[start : start + a.shape[0]]).sum(axis=1)
-    return raw
-
-
-def _on2_scores(
-    a: np.ndarray, first: np.ndarray, second: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Raw (unscaled) O(N^2) logits of the anchor rows ``a``: column
-    j*N + k holds <a_i, first_j, second_k>."""
-    n = first.shape[0]
-    if out is None:
-        out = np.empty((a.shape[0], n * n), np.result_type(a, first, second))
-    np.matmul(a[:, None, :] * first, second.T, out=out.reshape(-1, n, n))
+def _state_rows(reps: Mapping[str, np.ndarray], rows: Rows | None) -> dict[str, np.ndarray]:
+    """Each modality's state index per batch row (identity when ``rows`` is None)."""
+    shapes = {m: r.shape for m, r in reps.items()}
+    if rows is None:
+        if len(set(shapes.values())) != 1:
+            raise ValueError(f"representations disagree on shape: {shapes}")
+        rows = dict.fromkeys(reps, np.arange(next(iter(shapes.values()))[0]))
+    out = {m: np.asarray(rows[m]) for m in reps}
+    for m, idx in out.items():
+        if idx.ndim != 1 or idx.dtype.kind not in "iu" or (
+            idx.size and (idx.min() < 0 or idx.max() >= shapes[m][0])
+        ):
+            raise ValueError(f"rows[{m!r}] is not a vector of state indices")
+    if len({i.size for i in out.values()}) != 1 or len({s[1:] for s in shapes.values()}) != 1:
+        raise ValueError(f"batch sizes or representation shapes disagree: {shapes}")
+    if next(iter(out.values())).size < 1:
+        raise ValueError("the batch is empty")
     return out
 
 
-def build_logits_on(
-    anchor_idx: int,
-    reps: Mapping[str, np.ndarray],
-    perms: Sequence[np.ndarray],
-    scale: float,
-) -> LogitsMatrix:
-    """O(N) logits for one anchor: permuted-tuple negatives, matched diagonal.
-
-    ``perms`` holds one permutation per non-anchor modality, in modality
-    order.  Identity permutations replicate the collision behaviour of the
-    in-batch construction: column j of row i holds the *matched* tuple j.
-    """
-    names = list(reps)
-    anchor_name = names[anchor_idx]
-    anchor = reps[anchor_name]
-    n = anchor.shape[0]
-    others = [reps[m] for m in names if m != anchor_name]
-    perms = [_validate_perm(p, n) for p in perms]
-    if len(perms) != len(others):
-        raise ValueError(f"expected {len(others)} permutations, got {len(perms)}")
-    raw = _on_scores(anchor, 0, *_on_products(others, perms))
-    return LogitsMatrix(scale * raw, np.arange(n), anchor_name)
-
-
-def build_logits_on2(
-    anchor_idx: int, reps: Mapping[str, np.ndarray], scale: float
-) -> LogitsMatrix:
-    """O(N^2) logits for one anchor (M = 3 only).
-
-    Row i scores every combination of the two non-anchor modalities:
-    column j*N + k holds scale * <anchor_i, first_j, second_k>, so the
-    positive sits at column i*N + i and each row has N^2 - 1 negatives.
-    """
-    names = list(reps)
-    if len(names) != 3:
-        raise ValueError("the exhaustive-negatives strategy is defined for M = 3")
-    anchor_name = names[anchor_idx]
-    anchor = reps[anchor_name]
-    n = anchor.shape[0]
-    first, second = (reps[m] for m in names if m != anchor_name)
-    raw = _on2_scores(anchor, first, second)
-    return LogitsMatrix(scale * raw, np.arange(n) * (n + 1), anchor_name)
-
-
 # ---------------------------------------------------------------------------
-# Losses with gradients
+# The state-grouped kernel
 # ---------------------------------------------------------------------------
 
-# Logits per row block of an anchored loss.  A block holds at least one
-# row, so it is larger only when a single row is.  The loss's working
-# memory is one block plus O(N*D).
-_BLOCK_LOGITS = 1 << 20
+# Scores (anchor states x candidate states) per block; a block holds at
+# least one anchor state, so it is larger only when one row of scores is.
+_BLOCK_SCORES = 1 << 18
 
 
-def _block_buffer(n: int, k: int, *operands: np.ndarray) -> np.ndarray:
-    """Scratch for one block of rows of an (N, K) anchored score matrix.
+def _scatter_rows(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[s] = sum of values[t] over t with index[t] == s (float64)."""
+    d = values.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, values.ravel(), size * d).reshape(size, d)
 
-    The anchored losses own it for their whole run, so it is freed after
-    their last temporaries.  Freed earlier, those temporaries split the
-    freed block and the next anchor's block grew the heap instead: peak
-    RSS of the N=1000 recipe rose by 2.5 MB.
+
+def _shifted_logits(raw: np.ndarray, scale: float, unused: np.ndarray | None) -> tuple:
+    """(scale * raw less each row's max over the used columns, that max),
+    in place; unused columns read -inf."""
+    raw *= scale
+    if not (np.isfinite(raw.max()) and np.isfinite(raw.min())):  # NaN reaches both
+        raise NonFiniteError("logits must be finite")
+    if unused is not None:
+        raw[:, unused] = -np.inf
+    top = raw.max(axis=1)
+    raw -= top[:, None]
+    return raw, top
+
+
+def _exact_rows(raw: np.ndarray, copies: np.ndarray, positive: np.ndarray, scale: float) -> tuple:
+    """(losses, d loss / d column logits, d loss / d positive logit) of rows
+    holding ``copies[f, c]`` of column c and a positive of raw score
+    ``positive[f]``, each shifted by the largest logit it keeps."""
+    logits, pos = np.where(copies > 0, scale * raw, -np.inf), scale * positive
+    top = np.maximum(logits.max(axis=1), pos)
+    e, e_pos = copies * np.exp(logits - top[:, None]), np.exp(pos - top)
+    z = e.sum(axis=1) + e_pos
+    return np.log(z) + top - pos, e / z[:, None], e_pos / z - 1.0
+
+
+def _grouped_ce(
+    anchor: np.ndarray, a_rows: np.ndarray, counts: np.ndarray, positive: np.ndarray,
+    swap: np.ndarray | None, scale: float, scores: Callable, backward: Callable,
+) -> tuple[float, np.ndarray, float, np.ndarray | None]:
+    """Mean-over-rows CE with rows grouped into anchor states and columns
+    into candidate states, one block of anchor states at a time.
+
+    Row i scores anchor state ``a_rows[i]`` against ``counts[q]`` copies of
+    each candidate state q.  Without ``swap`` its positive is column
+    ``positive[i]``; with it, row i drops one copy of column ``swap[i]``
+    and gains a positive of raw score ``positive[i]``.  ``scores(states)``
+    returns the raw scores of those anchor states (a slice or an index
+    array); ``backward(states, g)`` receives d loss / d raw, accumulates
+    the candidate gradients and returns the rows of d_anchor.
+    Returns (loss, d_anchor, d_scale, d loss / d positive or None).
     """
-    rows = min(n, max(1, _BLOCK_LOGITS // k))
-    return np.empty((rows, k), np.result_type(*operands))
+    n, u, q = a_rows.size, anchor.shape[0], counts.size
+    step = max(1, _BLOCK_SCORES // q)
+    unused = None if counts.all() else counts == 0
+    weights = counts.astype(anchor.dtype)
+    total, d_anchor = 0.0, np.empty_like(anchor)
+    d_pos = None if swap is None else np.empty(n)
+    for start in range(0, u, step):
+        states = slice(start, min(start + step, u))
+        rows = slice(None)  # one block holds every state
+        if step < u:
+            rows = np.flatnonzero((a_rows >= start) & (a_rows < states.stop))
+        lu = a_rows[rows] - start
+        e, top = _shifted_logits(scores(states), scale, unused)
+        if swap is None:
+            p = positive[rows]
+            pos_logit = e[lu, p]
+        else:
+            w, pos_raw = swap[rows], positive[rows]
+            if not np.isfinite(pos_raw).all():
+                raise NonFiniteError("logits must be finite")
+            pos_logit = scale * pos_raw - top[lu]
+        np.exp(e, out=e)
+        e_w = None if swap is None else e[lu, w]
+        e *= weights
+        s = e.sum(axis=1)[lu]  # >= 1: each state's max column has a copy
+        if swap is None:
+            losses, inv_z = np.log(s) - pos_logit, 1.0 / s
+        else:
+            # Row i is shifted by the larger of its state's max and its
+            # positive, which scales its columns by keep.  s - e_w keeps half
+            # of s or more unless e_w holds the rest; such a row, at most one
+            # per state (its column has one copy), is computed on its own.
+            lift = np.maximum(pos_logit, 0.0)
+            keep, e_pos = np.exp(-lift), np.exp(pos_logit - lift)
+            exact = np.flatnonzero(e_w > 0.5 * s)
+            z = (s - e_w) * keep + e_pos
+            z[exact] = 1.0
+            losses, inv_z, g_pos = np.log(z) + lift - pos_logit, keep / z, e_pos / z - 1.0
+            inv_z[exact] = 0.0
 
-
-def _blocked_ce(
-    anchor: np.ndarray,
-    block: np.ndarray,
-    scale: float,
-    scores: Callable[[slice, np.ndarray], np.ndarray],
-    backward: Callable[[slice, np.ndarray], np.ndarray],
-) -> tuple[float, np.ndarray, float]:
-    """Mean-over-rows CE of an (N, K) anchored score matrix, built and
-    differentiated one ``block`` of anchor rows at a time.
-
-    ``scores(rows, out)`` writes the raw (unscaled) logits of anchor rows
-    ``rows`` into ``out`` and returns their target columns.
-    ``backward(rows, g)`` receives d loss / d raw for those rows (scale
-    and 1/N folded in; it may overwrite ``g``), accumulates the non-anchor
-    gradients itself and returns the rows of d_anchor.
-    Returns (loss, d_anchor, d_scale).
-    """
-    n = anchor.shape[0]
-    losses: list[np.ndarray] = []
-    d_anchor: list[np.ndarray] = []
-    for start in range(0, n, block.shape[0]):
-        rows = slice(start, min(start + block.shape[0], n))
-        raw = block[: rows.stop - start]
-        targets = scores(rows, raw)
-        raw *= scale
-        block_losses, g = row_softmax_cross_entropy(raw, targets, overwrite=True)
-        g *= scale / n
-        losses.append(block_losses)
-        d_anchor.append(backward(rows, g))
-    d_anchor_all = np.concatenate(d_anchor)
-    # Every logit is linear in its anchor row, so sum(dL/draw * raw) equals
-    # sum(d_anchor * anchor) / scale; this avoids keeping an unscaled copy.
-    d_scale = float((d_anchor_all * anchor).sum()) / scale
-    return float(np.concatenate(losses).mean()), d_anchor_all, d_scale
+        # d loss / d logit[s, c] = E[s, c] * sum over rows i of state s of
+        # n_i(c) * keep_i / z_i, less 1 at each positive column; n_i(c),
+        # the copies of c in row i, is counts[c], one fewer at swap[i].
+        # With swap, the positives' part is g_pos, per row.
+        r = np.bincount(lu, inv_z, e.shape[0]).astype(e.dtype)  # float64 would slow e *= r
+        e *= r[:, None]
+        flat = e.ravel()  # a view: the block is C-contiguous
+        if swap is None:
+            np.add.at(flat, lu * q + p, -1.0)
+        else:
+            np.add.at(flat, lu * q + w, -e_w * inv_z)
+            if exact.size:
+                copies = np.tile(weights, (exact.size, 1))
+                copies[np.arange(exact.size), w[exact]] -= 1
+                losses[exact], g_cols, g_pos[exact] = _exact_rows(
+                    scores(lu[exact] + start), copies, pos_raw[exact], scale
+                )
+                np.add.at(e, lu[exact], g_cols)
+            d_pos[rows] = g_pos * (scale / n)
+        total += float(losses.sum())
+        e *= scale / n
+        d_anchor[states] = backward(states, e)
+    # Every column score is linear in its anchor state, so sum(dL/draw *
+    # raw) equals sum(d_anchor * anchor) / scale, plus the positives' part.
+    d_scale = float(np.vdot(d_anchor, anchor)) + (0.0 if swap is None else float(d_pos @ positive))
+    return total / n, d_anchor, d_scale / scale, d_pos
 
 
 def _anchored_on_loss(
-    anchor: np.ndarray,
-    others: Sequence[np.ndarray],
-    perms: Sequence[np.ndarray],
-    scale: float,
+    anchor: np.ndarray, others: Sequence[np.ndarray], a_rows: np.ndarray,
+    o_rows: Sequence[np.ndarray], perms: Sequence[np.ndarray], scale: float,
 ) -> tuple[float, np.ndarray, list[np.ndarray], float]:
     """Mean-over-rows CE of the O(N) logits, with gradients.
 
-    Returns (loss, d_anchor, d_others, d_scale).
+    The distinct non-anchor state tuples at the permuted rows (one per
+    column) and at the matched rows form a table; its column tuples are
+    the candidates.  Returns (loss, d_anchor, d_others, d_scale).
     """
-    n = anchor.shape[0]
-    permuted, matched = _on_products(others, perms)
-    block = _block_buffer(n, n, anchor, permuted)
-    d_permuted = np.zeros_like(permuted)
-    d_matched = np.empty_like(matched)
+    n = a_rows.size
+    # tuples[k][t]: modality k's state in column t < n, or in row t - n's positive
+    tuples = [np.concatenate([r[p], r]) for r, p in zip(o_rows, perms)]
+    ids, table = tuples[0], others[0]
+    if len(others) > 1:
+        for t, o in zip(tuples[1:], others[1:]):
+            _, ids = np.unique(ids * o.shape[0] + t, return_inverse=True)
+        # a row of each tuple: any occurrence holds the same states
+        first = np.zeros(ids.max() + 1, np.intp)
+        first[ids] = np.arange(ids.size)
+        states = [t[first] for t in tuples]
+        parts = [o[s] for o, s in zip(others, states)]
+        table = functools.reduce(np.multiply, parts)
+        used, cols = np.unique(ids[:n], return_inverse=True)
+    else:  # the table is the other modality's states; unused ones get count 0
+        used, cols = slice(None), ids[:n]
+    cand, matched = table[used], ids[n:]
+    counts = np.bincount(cols, minlength=cand.shape[0])
+    d_cand = np.zeros_like(cand)
 
-    def scores(rows: slice, out: np.ndarray) -> np.ndarray:
-        _on_scores(anchor[rows], rows.start, permuted, matched, out=out)
-        return np.arange(rows.start, rows.stop)
+    def scores(blk: slice | np.ndarray) -> np.ndarray:
+        return anchor[blk] @ cand.T
 
-    def backward(rows: slice, g: np.ndarray) -> np.ndarray:
-        a = anchor[rows]
-        local = np.arange(g.shape[0])
-        diag = g[local, rows.start + local]
-        g[local, rows.start + local] = 0.0
-        d_permuted[...] += g.T @ a
-        d_matched[rows] = diag[:, None] * a
-        return g @ permuted + diag[:, None] * matched[rows]
+    def backward(blk: slice, g: np.ndarray) -> np.ndarray:
+        d_cand[...] += g.T @ anchor[blk]
+        return g @ cand
 
-    loss, d_anchor, d_scale = _blocked_ce(anchor, block, scale, scores, backward)
-    d_others: list[np.ndarray] = []
-    for m in range(len(others)):
-        perm_rest = [others[j][perms[j]] for j in range(len(others)) if j != m]
-        match_rest = [others[j] for j in range(len(others)) if j != m]
-        d_o = np.empty_like(others[m])
-        d_o[perms[m]] = d_permuted * _rows_product(perm_rest) if perm_rest else d_permuted
-        d_o += d_matched * _rows_product(match_rest) if match_rest else d_matched
-        d_others.append(d_o)
+    # Identity permutations put each row's positive in its own column;
+    # otherwise row i swaps column i's tuple for its positive, scored per row.
+    swap, positive = None, cols
+    if not (ids[:n] == matched).all():
+        swap, pos_part, pos_anchor = cols, table[matched], anchor[a_rows]
+        positive = np.einsum("id,id->i", pos_anchor, pos_part)
+    loss, d_anchor, d_scale, d_pos = _grouped_ce(
+        anchor, a_rows, counts, positive, swap, scale, scores, backward
+    )
+    d_table = np.zeros_like(table, np.float64)
+    if swap is not None:
+        d_anchor += _scatter_rows(a_rows, d_pos[:, None] * pos_part, anchor.shape[0])
+        d_table += _scatter_rows(matched, d_pos[:, None] * pos_anchor, table.shape[0])
+    d_table[used] += d_cand
+    if len(others) == 1:
+        return loss, d_anchor, [d_table.astype(table.dtype, copy=False)], d_scale
+    d_others = []
+    for k, (o, s) in enumerate(zip(others, states)):
+        grad = functools.reduce(np.multiply, [p for j, p in enumerate(parts) if j != k], d_table)
+        d_others.append(_scatter_rows(s, grad, o.shape[0]).astype(o.dtype))
     return loss, d_anchor, d_others, d_scale
 
 
 def _anchored_on2_loss(
-    anchor: np.ndarray,
-    first: np.ndarray,
-    second: np.ndarray,
-    scale: float,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
+    anchor: np.ndarray, others: Sequence[np.ndarray], a_rows: np.ndarray,
+    o_rows: Sequence[np.ndarray], scale: float,
+) -> tuple[float, np.ndarray, list[np.ndarray], float]:
     """Mean-over-rows CE of the O(N^2) logits, with gradients.
 
-    No (N^2, D) pair grid is formed: each block's logits and its backward
-    pass contract one non-anchor modality at a time.
+    Candidate state (j, k) pairs first-state j with second-state k and
+    has count cnt_first[j] * cnt_second[k]; each positive is among them.
+    Each block's scores and its backward pass contract one non-anchor
+    modality at a time.
     """
-    n = anchor.shape[0]
-    block = _block_buffer(n, n * n, anchor, first, second)
-    d_first = np.zeros_like(first)
-    d_second = np.zeros_like(second)
+    (first, second), (f_rows, s_rows) = others, o_rows
+    vf, vs = first.shape[0], second.shape[0]
+    d_first, d_second = np.zeros_like(first), np.zeros_like(second)
 
-    def scores(rows: slice, out: np.ndarray) -> np.ndarray:
-        _on2_scores(anchor[rows], first, second, out=out)
-        return np.arange(rows.start, rows.stop) * (n + 1)
+    def scores(blk: slice) -> np.ndarray:
+        return ((anchor[blk, None, :] * first) @ second.T).reshape(-1, vf * vs)
 
-    def backward(rows: slice, g: np.ndarray) -> np.ndarray:
-        a = anchor[rows]
-        g = g.reshape(-1, n, n)  # [b, j, k]
+    def backward(blk: slice, g: np.ndarray) -> np.ndarray:
+        a = anchor[blk]
+        g = g.reshape(-1, vf, vs)  # [b, j, k]
         h = g @ second  # [b, j, d] = sum_k g[b, j, k] second[k, d]
         d_first[...] += np.einsum("bjd,bd->jd", h, a)
         d_second[...] += np.einsum("bkd,bd->kd", g.transpose(0, 2, 1) @ first, a)
         return np.einsum("bjd,jd->bd", h, first)
 
-    loss, d_anchor, d_scale = _blocked_ce(anchor, block, scale, scores, backward)
-    return loss, d_anchor, d_first, d_second, d_scale
+    counts = np.outer(np.bincount(f_rows, minlength=vf), np.bincount(s_rows, minlength=vs))
+    loss, d_anchor, d_scale, _ = _grouped_ce(
+        anchor, a_rows, counts.ravel(), f_rows * vs + s_rows, None, scale, scores, backward
+    )
+    return loss, d_anchor, [d_first, d_second], d_scale
 
 
 def clip_directional_loss(rx: np.ndarray, ry: np.ndarray, scale: float) -> float:
     """One direction of the two-modality loss: CE of classifying each
     matched pair (x_i, y_i) against all in-batch candidates y_j."""
     identity = np.arange(rx.shape[0])
-    loss, _, _, _ = _anchored_on_loss(rx, [ry], [identity], scale)
+    loss, _, _, _ = _anchored_on_loss(rx, [ry], identity, [identity], [identity], scale)
     return loss
 
 
@@ -310,30 +327,12 @@ def clip_pair_loss(rx: np.ndarray, ry: np.ndarray, scale: float) -> float:
 def clip_pair_loss_grads(
     rx: np.ndarray, ry: np.ndarray, scale: float
 ) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """(loss, d_rx, d_ry, d_scale) for the two-modality loss.
-
-    The two directional terms share one score matrix: the y-anchored
-    logits are the transpose of the x-anchored ones.
-    """
-    if rx.shape != ry.shape or rx.ndim != 2 or rx.shape[0] < 1:
+    """(loss, d_rx, d_ry, d_scale) for the two-modality loss: the mean of
+    the x-anchored and y-anchored terms with identity permutations."""
+    if rx.ndim != 2 or ry.ndim != 2:
         raise ValueError(f"bad representation shapes {rx.shape}, {ry.shape}")
-    n = rx.shape[0]
-    raw = rx @ ry.T
-    np.fill_diagonal(raw, (rx * ry).sum(axis=1))
-    raw_t = np.ascontiguousarray(raw.T)
-    raw *= scale
-    raw_t *= scale
-    targets = np.arange(n)
-    losses_xy, g1 = row_softmax_cross_entropy(raw, targets, overwrite=True)
-    losses_yx, g2 = row_softmax_cross_entropy(raw_t, targets, overwrite=True)
-    loss = 0.5 * float(losses_xy.mean() + losses_yx.mean())
-
-    g1 += g2.T
-    g1 *= scale / (2.0 * n)
-    d_rx = g1 @ ry
-    d_ry = g1.T @ rx
-    d_scale = float((d_rx * rx).sum()) / scale
-    return loss, d_rx, d_ry, d_scale
+    loss, d_reps, d_scale = pairwise_clip_loss_grads({"x": rx, "y": ry}, scale)
+    return loss, d_reps["x"], d_reps["y"], float(d_scale[0])
 
 
 def modality_pairs(names: Sequence[str]) -> list[tuple[str, str]]:
@@ -341,16 +340,16 @@ def modality_pairs(names: Sequence[str]) -> list[tuple[str, str]]:
     return list(itertools.combinations(names, 2))
 
 
-def pairwise_clip_loss(
-    reps: Mapping[str, np.ndarray], scale: float | Sequence[float]
-) -> float:
+def pairwise_clip_loss(reps: Mapping[str, np.ndarray], scale: float | Sequence[float]) -> float:
     """Sum of the two-modality loss over all unordered modality pairs."""
     loss, _, _ = pairwise_clip_loss_grads(reps, scale)
     return loss
 
 
 def pairwise_clip_loss_grads(
-    reps: Mapping[str, np.ndarray], scale: float | Sequence[float]
+    reps: Mapping[str, np.ndarray],
+    scale: float | Sequence[float],
+    rows: Rows | None = None,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """(loss, d_reps, d_scales) for the pairwise sum.
 
@@ -362,37 +361,31 @@ def pairwise_clip_loss_grads(
         raise ValueError("need at least two modalities")
     pairs = modality_pairs(names)
     scales = np.asarray(scale, dtype=np.float64).reshape(-1)
-    if scales.size == 1:
-        pair_scale = {p: (0, float(scales[0])) for p in pairs}
-    elif scales.size == len(pairs):
-        pair_scale = {p: (i, float(scales[i])) for i, p in enumerate(pairs)}
-    else:
+    if scales.size not in (1, len(pairs)):
         raise ValueError(f"expected 1 or {len(pairs)} scales, got {scales.size}")
+    rows = _state_rows(reps, rows)
+    identity = [np.arange(rows[names[0]].size)]
 
     total = 0.0
     d_reps = {m: np.zeros_like(reps[m]) for m in names}
     d_scales = np.zeros_like(scales)
-    for pair in pairs:
-        x, y = pair
-        idx, s = pair_scale[pair]
-        loss, dx, dy, ds = clip_pair_loss_grads(reps[x], reps[y], s)
-        total += loss
-        d_reps[x] += dx
-        d_reps[y] += dy
-        d_scales[idx] += ds
+    for i, (x, y) in enumerate(pairs):
+        idx = i % scales.size  # the shared scale, or the pair's own
+        for a, b in ((x, y), (y, x)):  # the mean of the two anchored terms
+            loss, d_a, (d_b,), ds = _anchored_on_loss(
+                reps[a], [reps[b]], rows[a], [rows[b]], identity, float(scales[idx])
+            )
+            total += 0.5 * loss
+            d_reps[a] += 0.5 * d_a
+            d_reps[b] += 0.5 * d_b
+            d_scales[idx] += 0.5 * ds
     return total, d_reps, d_scales
 
 
-def draw_anchor_perms(
-    seed: int, names: Sequence[str], anchor: str, n: int
-) -> list[np.ndarray]:
+def draw_anchor_perms(seed: int, names: Sequence[str], anchor: str, n: int) -> list[np.ndarray]:
     """One fresh permutation per non-anchor modality, keyed by the
     (anchor, other) name pair so relabeling modalities relabels draws."""
-    return [
-        substream(seed, "perm", anchor, other).permutation(n)
-        for other in names
-        if other != anchor
-    ]
+    return [substream(seed, "perm", anchor, o).permutation(n) for o in names if o != anchor]
 
 
 def symile_loss(
@@ -410,9 +403,7 @@ def symile_loss(
     anchor from name-keyed substreams of ``seed`` unless ``perms``
     supplies them explicitly ({anchor: [perm per non-anchor, in order]}).
     """
-    loss, breakdown, _, _ = symile_loss_grads(
-        reps, scale, strategy, seed=seed, perms=perms
-    )
+    loss, breakdown, _, _ = symile_loss_grads(reps, scale, strategy, seed=seed, perms=perms)
     return loss, breakdown
 
 
@@ -422,8 +413,13 @@ def symile_loss_grads(
     strategy: str = "on",
     seed: int | None = None,
     perms: Mapping[str, Sequence[np.ndarray]] | None = None,
+    rows: Rows | None = None,
 ) -> tuple[float, dict[str, float], dict[str, np.ndarray], float]:
-    """(loss, per-anchor breakdown, d_reps, d_scale)."""
+    """(loss, per-anchor breakdown, d_reps, d_scale).
+
+    With ``rows``, ``reps[m]`` holds one row per state of modality m and
+    ``rows[m]`` the state of every batch row; ``d_reps`` is then per state.
+    """
     names = list(reps)
     if len(names) < 2:
         raise ValueError("need at least two modalities")
@@ -431,16 +427,18 @@ def symile_loss_grads(
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "on2" and len(names) != 3:
         raise ValueError("strategy 'on2' is only defined for M = 3")
-    n = next(iter(reps.values())).shape[0]
-    shapes = {m: reps[m].shape for m in names}
-    if len(set(shapes.values())) != 1:
-        raise ValueError(f"representations disagree on shape: {shapes}")
+    rows = _state_rows(reps, rows)
+    n = rows[names[0]].size
 
     breakdown: dict[str, float] = {}
     d_reps = {m: np.zeros_like(reps[m]) for m in names}
     d_scale = 0.0
     for anchor in names:
-        others = [m for m in names if m != anchor]
+        listed = [m for m in names if m != anchor]
+        # a fixed order of the non-anchors keeps every term's rounding
+        # independent of the order the modalities are listed in
+        others = sorted(listed, key=str)
+        states = (reps[anchor], [reps[m] for m in others], rows[anchor], [rows[m] for m in others])
         if strategy == "on":
             if perms is not None:
                 anchor_perms = [_validate_perm(p, n) for p in perms[anchor]]
@@ -448,14 +446,12 @@ def symile_loss_grads(
                 anchor_perms = draw_anchor_perms(seed, names, anchor, n)
             else:
                 raise ValueError("strategy 'on' needs either a seed or perms")
+            by_name = dict(zip(listed, anchor_perms))
             loss, d_anchor, d_others, ds = _anchored_on_loss(
-                reps[anchor], [reps[m] for m in others], anchor_perms, scale
+                *states, [by_name[m] for m in others], scale
             )
         else:
-            loss, d_anchor, d_first, d_second, ds = _anchored_on2_loss(
-                reps[anchor], reps[others[0]], reps[others[1]], scale
-            )
-            d_others = [d_first, d_second]
+            loss, d_anchor, d_others, ds = _anchored_on2_loss(*states, scale)
         breakdown[anchor] = loss
         d_reps[anchor] += d_anchor
         for m, d_o in zip(others, d_others):
@@ -463,7 +459,7 @@ def symile_loss_grads(
         d_scale += ds
 
     m_count = len(names)
-    loss = sum(breakdown.values()) / m_count
+    loss = sum(breakdown[m] for m in sorted(names, key=str)) / m_count
     for m in names:
         d_reps[m] /= m_count
     return loss, breakdown, d_reps, d_scale / m_count

@@ -4,8 +4,9 @@ and emit one CSV of accuracies plus one CSV of the oracle's exact
 information quantities (the two panels of the synthetic benchmark figure).
 
 Cells are independent and resumable: each (config, p_hat, objective,
-seed) cell owns a directory keyed by the config hash, and cells with an
-existing result file are skipped.  Failed cells are reported at the end,
+seed) cell owns a directory keyed by the config hash, and cells with a
+readable result file of the same spec are skipped; any other result file
+is recomputed and replaced.  Failed cells are reported at the end,
 in grid order, without discarding completed ones.
 
 Cells run their BLAS calls on one OpenBLAS thread at every ``jobs``: at
@@ -97,10 +98,9 @@ def run_cell(
     """Train, evaluate and persist one sweep cell; returns its result row."""
     cell = _cell_dir(out_dir, spec, p_hat, objective, seed)
     result_path = os.path.join(cell, "result.json")
-    if os.path.exists(result_path):
-        with open(result_path) as f:
-            f.readline()  # provenance
-            return json.loads(f.readline())
+    stored = _stored_result(result_path, spec.hash())
+    if stored is not None:
+        return stored
 
     cfg = replace(spec.base_config, objective=objective, seed=seed)
     data_seed = derive_seed(seed, "sweep-data")
@@ -131,8 +131,8 @@ def run_cell(
         # relative to out_dir so aggregate CSVs are byte-stable across runs
         "checkpoint_path": os.path.relpath(ckpt_path, out_dir),
     }
-    # Resume trusts any result.json it finds, so one must never be partial:
-    # write a temporary file and rename it over the result in one step.
+    # Write a temporary file and rename it over the result in one step, so
+    # an interrupted write never leaves a partial result behind.
     tmp_path = result_path + ".tmp"
     try:
         with open(tmp_path, "w", newline="\n") as f:
@@ -143,6 +143,23 @@ def run_cell(
         if os.path.exists(tmp_path):
             os.remove(tmp_path)
     return row
+
+
+def _stored_result(path: str, spec_hash: str) -> dict[str, Any] | None:
+    """The result row a finished cell left, or None when there is none or
+    it cannot be trusted: unreadable, from another spec, or incomplete."""
+    try:
+        with open(path) as f:
+            header, row = json.loads(f.readline()), json.loads(f.readline())
+    except (OSError, ValueError):
+        return None
+    ok = (
+        isinstance(header, dict)
+        and header.get("config_hash") == spec_hash
+        and isinstance(row, dict)
+        and set(ACCURACY_HEADER) <= set(row)
+    )
+    return row if ok else None
 
 
 def information_rows(

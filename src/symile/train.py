@@ -11,7 +11,8 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -30,6 +31,14 @@ from .model import (
 from .nn import AffineEncoder, OptimizerState, adamw_step, init_optimizer
 from .objectives import STRATEGIES
 from .rng import derive_seed, substream
+
+
+# Field annotations that are checked by type; bool is not taken for a number.
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+
+
+def _is_kind(value: Any, kind: type) -> bool:
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 @dataclass
@@ -52,8 +61,17 @@ class TrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            kind, value = _FIELD_KINDS.get(f.type), getattr(self, f.name)
+            if kind is not None and not _is_kind(value, kind):
+                raise SchemaError(f"{f.name} must be of type {f.type}, got {value!r}")
         if isinstance(self.split, dict):
+            unknown = set(self.split) - {f.name for f in fields(SplitSpec)}
+            if unknown:
+                raise SchemaError(f"unknown split keys: {sorted(unknown)}")
             self.split = SplitSpec(**self.split)
+        if not isinstance(self.split, SplitSpec):
+            raise SchemaError(f"split must be an object of train/val/test counts, got {self.split!r}")
         if self.objective not in OBJECTIVES:
             raise SchemaError(f"unknown objective {self.objective!r}")
         if self.strategy not in STRATEGIES:
@@ -62,6 +80,8 @@ class TrainConfig:
             raise SchemaError("epochs must be >= 1")
         if self.batch_size < 2:
             raise SchemaError("batch_size must be >= 2 for contrastive losses")
+        if self.d_out < 1:
+            raise SchemaError("d_out must be >= 1")
         for name in ("lr", "weight_decay", "t_init"):
             if not math.isfinite(getattr(self, name)):
                 raise SchemaError(f"{name} must be finite")

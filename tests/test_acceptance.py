@@ -37,6 +37,8 @@ from symile.oracle import (
 from symile.rng import derive_seed
 from symile.train import TrainConfig, train
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 0
 LN2 = math.log(2.0)
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)

@@ -151,6 +151,30 @@ class TestTrainEvalProbe:
         assert "Traceback" not in err
         assert not os.path.exists(tmp_path / "checkpoint.json")
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"lr": "x"},
+            {"p_hat": "x"},
+            {"epochs": "3"},
+            {"split": [1, 2, 3]},
+            {"d_out": 2.5},
+            {"split": {"train": "x", "val": 8, "test": 8}},
+            {"split": {"train": 8, "val": 8, "test": 8, "extra": 1}},
+            {"normalize": "yes"},
+            {"batch_size": True},
+        ],
+        ids=lambda o: json.dumps(o),
+    )
+    def test_wrong_type_exit_2(self, tmp_path, capsys, override):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY_CONFIG, **override}))
+        assert main(["train", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and next(iter(override)) in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "checkpoint.json")
+
     def test_seed_env_override(self, tmp_path, tiny_config_path, monkeypatch, capsys):
         monkeypatch.setenv("SYMILE_SEED", "99")
         out_dir = str(tmp_path / "run99")

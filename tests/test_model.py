@@ -4,18 +4,26 @@ integration."""
 import numpy as np
 import pytest
 
+from symile.data import apply_missingness, encoder_inputs, gen_synth
 from symile.diagnostics import run_gradient_check
 from symile.errors import DegenerateInputError
 from symile.model import (
     ModelParams,
+    _input_states,
     encode_batch,
     flatten_params,
     init_params,
     loss_and_grads,
     unflatten_params,
 )
-from symile.nn import AffineEncoder, compare_gradients, finite_diff_grad
-from symile.objectives import draw_anchor_perms
+from symile.nn import (
+    AffineEncoder,
+    compare_gradients,
+    finite_diff_grad,
+    normalize_rows,
+    normalize_rows_backward,
+)
+from symile.objectives import draw_anchor_perms, pairwise_clip_loss_grads, symile_loss_grads
 
 
 class TestParamsPlumbing:
@@ -143,3 +151,55 @@ class TestFullModelGradients:
                 "nope",
                 seed=0,
             )
+
+
+def per_row_reference(params, inputs, objective, strategy, seed):
+    """loss_and_grads without grouping: every row encoded on its own, the
+    kernel with rows=None, and the normalize/affine backward per row."""
+    reps, norms = {}, {}
+    for name, enc in params.encoders.items():
+        reps[name], norms[name] = normalize_rows(inputs[name] @ enc.W.T + enc.b)
+    scales = params.scales()
+    if objective == "symile":
+        loss, _, d_reps, d_scale = symile_loss_grads(reps, float(scales[0]), strategy, seed=seed)
+        d_scales = np.array([d_scale])
+    else:
+        loss, d_reps, d_scales = pairwise_clip_loss_grads(reps, scales)
+    grads = []
+    for name in params.encoders:
+        d_z = normalize_rows_backward(reps[name], norms[name], d_reps[name])
+        grads += [d_z.T @ inputs[name], d_z.sum(axis=0)]
+    return loss, grads + [d_scales * scales]
+
+
+class TestStateGrouping:
+    """loss_and_grads encodes and scores distinct input rows only; on a
+    binary batch it equals the per-row computation to rounding."""
+
+    @pytest.mark.parametrize("p_missing", [0.0, 0.5])
+    @pytest.mark.parametrize("objective,strategy", [
+        ("symile", "on"),
+        ("symile", "on2"),
+        ("pairwise_clip", "on"),
+    ])
+    def test_matches_per_row_reference(self, objective, strategy, p_missing):
+        data = gen_synth(96, 1.0, 3, "shared", 3)
+        if p_missing:
+            data = apply_missingness(data, p_missing, 4)
+        inputs = encoder_inputs(data)
+        assert all(_input_states(x)[0].size < 10 for x in inputs.values())
+        params = init_params(
+            {m: x.shape[1] for m, x in inputs.items()}, 5, seed=2, t_init=1.0,
+            per_pair_temperature=objective == "pairwise_clip",
+        )
+        loss, _, grads = loss_and_grads(params, inputs, objective, strategy, seed=7)
+        ref_loss, ref_grads = per_row_reference(params, inputs, objective, strategy, 7)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for g, ref in zip(grads, ref_grads, strict=True):
+            np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_byte_states(self):
+        x = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [-0.0, 1.0]])
+        first, rows = _input_states(x)
+        np.testing.assert_array_equal(x[first][rows], x)
+        assert rows[0] == rows[2] and rows[3] != rows[0]  # -0.0 splits, never merges

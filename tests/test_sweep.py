@@ -293,3 +293,41 @@ class TestAtomicResult:
         assert main(args) == 0
         assert sorted(p.name for p in cell.iterdir()) == ["checkpoint.json", "result.json"]
         assert len((out / "accuracy.csv").read_text().splitlines()) == 3
+
+
+class TestResumeDistrustsDamagedResults:
+    """A result.json that cannot be parsed, or whose provenance hash is
+    not the sweep's, counts as absent: the cell is recomputed and the file
+    rewritten."""
+
+    @staticmethod
+    def run(tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY_CONFIG))
+        out = tmp_path / "sweep"
+        args = ["reproduce-fig3", "--config", str(cfg), "--grid", "1",
+                "--objectives", "symile", "--out-dir", str(out)]
+        assert main(args) == 0
+        (cell,) = (out / "cells").iterdir()
+        return args, cell / "result.json", out / "accuracy.csv"
+
+    def test_truncated_result_is_recomputed(self, tmp_path):
+        args, result, csv = self.run(tmp_path)
+        good, good_csv = result.read_bytes(), csv.read_bytes()
+        result.write_bytes(good[:40])
+        assert main(args) == 0
+        assert result.read_bytes() == good
+        assert csv.read_bytes() == good_csv
+
+    def test_foreign_hash_is_recomputed(self, tmp_path):
+        args, result, csv = self.run(tmp_path)
+        good, good_csv = result.read_bytes(), csv.read_bytes()
+        header, row = good.decode().splitlines()
+        doc = json.loads(header)
+        doc["config_hash"] = "0" * 16
+        row = json.loads(row)
+        row["mean_acc"] = -1.0
+        result.write_text(json.dumps(doc) + "\n" + json.dumps(row) + "\n")
+        assert main(args) == 0
+        assert result.read_bytes() == good
+        assert csv.read_bytes() == good_csv
