@@ -9,8 +9,10 @@ Uses a shortened schedule for demo speed; the full benchmark recipe
 (100 epochs) is exercised by tests/test_acceptance.py.
 """
 
+import numpy as np
+
 from symile.data import SplitSpec, gen_xor1d, split
-from symile.evaluation import classify_target, symile_candidate_scores
+from symile.evaluation import candidate_scores, classify_target
 from symile.train import TrainConfig, train
 
 
@@ -33,22 +35,16 @@ def main():
 
     print("\nScore matrix of the trained multilinear model, by query cell:")
     params = results["symile"][0].checkpoint.params
-    candidates = [[0.0], [1.0]]
+    a, c = np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([[0.0], [1.0], [0.0], [1.0]])
+    scores = candidate_scores(params, "symile", {"a": a, "c": c}, "b", np.array([[0.0], [1.0]]))
     print(f"{'(a, c)':>8}  {'score b=0':>10}  {'score b=1':>10}  predicted  truth")
-    import numpy as np
-
-    for a in (0.0, 1.0):
-        for c in (0.0, 1.0):
-            scores = symile_candidate_scores(
-                params, {"a": np.array([a]), "c": np.array([c])}, "b", np.array(candidates)
-            )
-            pred = int(scores.argmax())
-            truth = int(a) ^ int(c)
-            print(
-                f"  ({int(a)}, {int(c)})  {scores[0]:10.4f}  {scores[1]:10.4f}  "
-                f"{pred:9d}  {truth:5d}"
-            )
-
+    for (ai, ci), row in zip(zip(a[:, 0], c[:, 0]), scores):
+        pred = int(row.argmax())
+        truth = int(ai) ^ int(ci)
+        print(
+            f"  ({int(ai)}, {int(ci)})  {row[0]:10.4f}  {row[1]:10.4f}  "
+            f"{pred:9d}  {truth:5d}"
+        )
 
 if __name__ == "__main__":
     main()

@@ -12,7 +12,7 @@ single affine probe reads the target off the product features.
 
 import numpy as np
 
-from symile.data import SplitSpec, gen_synth5d, split
+from symile.data import SplitSpec, gen_synth, split
 from symile.diagnostics import calibration_example
 from symile.evaluation import sufficient_statistic_probe
 from symile.model import init_params
@@ -30,7 +30,7 @@ def main():
 
     print("\nSufficient-statistic probe on the five-dimensional task:")
     spec = SplitSpec(10_000, 1_000, 5_000)
-    dataset = gen_synth5d(spec.total, 1.0, seed=0)
+    dataset = gen_synth(spec.total, 1.0, seed=0)
     train_ds, val_ds, test_ds = split(dataset, spec)
     cfg = TrainConfig(objective="symile", epochs=25, seed=0)
     out = train(cfg, train_ds, val_ds)

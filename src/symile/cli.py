@@ -20,8 +20,7 @@ from typing import Any
 import numpy as np
 
 from . import fileio
-from .data import apply_missingness, gen_xor1d, split
-from .data import gen_synth
+from .data import apply_missingness, gen_synth, gen_xor1d
 from .diagnostics import (
     bound_tightness_report,
     calibration_example,
@@ -32,8 +31,8 @@ from .errors import DivergenceError, SchemaError, SymileError
 from .evaluation import bootstrap_accuracy, classify_target, sufficient_statistic_probe
 from .oracle import build_xor1d_table
 from .rng import derive_seed
-from .sweep import SweepSpec, information_rows, run_sweep
-from .train import TrainConfig, load_checkpoint, save_checkpoint, train
+from .sweep import ACCURACY_HEADER, SweepSpec, information_rows, run_sweep
+from .train import TrainConfig, load_checkpoint, save_checkpoint, split_for_training, train
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -42,20 +41,23 @@ _DATASET_KEYS = {"dataset", "p_hat", "i_mode", "out_dir"}
 _CONFIG_KEYS = {f.name for f in dataclass_fields(TrainConfig)} | _DATASET_KEYS
 
 
-def _load_run_config(path: str) -> dict[str, Any]:
-    """Load and schema-check a run config (training + dataset parameters)."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise SchemaError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise SchemaError(f"unknown config keys: {sorted(unknown)}")
+def _run_config(path: str | None) -> tuple[dict[str, Any], TrainConfig]:
+    """(run config, its TrainConfig): the schema-checked config file at
+    ``path`` (every default without one), with any SYMILE_SEED applied."""
+    doc: Any = {}
+    if path is not None:
+        try:
+            with open(path) as f:
+                doc = json.load(f)
+        except FileNotFoundError:
+            raise SchemaError(f"config file not found: {path}") from None
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"config is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise SchemaError("config must be a JSON object")
+        unknown = set(doc) - _CONFIG_KEYS
+        if unknown:
+            raise SchemaError(f"unknown config keys: {sorted(unknown)}")
     doc.setdefault("dataset", "synth5d")
     if doc["dataset"] not in ("xor1d", "synth5d"):
         raise SchemaError(f"unknown dataset {doc['dataset']!r}")
@@ -64,23 +66,16 @@ def _load_run_config(path: str) -> dict[str, Any]:
     if not isinstance(p_hat, (int, float)) or isinstance(p_hat, bool) or not 0.0 <= p_hat <= 1.0:
         raise SchemaError(f"p_hat must be a number in [0, 1], got {p_hat!r}")
     doc.setdefault("i_mode", "shared")
-    return doc
-
-
-def _train_config(doc: dict[str, Any]) -> TrainConfig:
-    kwargs = {k: v for k, v in doc.items() if k not in _DATASET_KEYS}
-    return TrainConfig(**kwargs)
-
-
-def _apply_seed_override(doc: dict[str, Any]) -> None:
+    if doc["i_mode"] not in ("shared", "per_coordinate"):
+        raise SchemaError(f"unknown i_mode {doc['i_mode']!r}")
     env = os.environ.get("SYMILE_SEED")
     if env is not None:
         try:
-            seed = int(env)
+            doc["seed"] = int(env)
         except ValueError:
             raise SchemaError(f"SYMILE_SEED must be an integer, got {env!r}") from None
-        print(f"seed overridden by SYMILE_SEED={seed}", file=sys.stderr)
-        doc["seed"] = seed
+        print(f"seed overridden by SYMILE_SEED={doc['seed']}", file=sys.stderr)
+    return doc, TrainConfig(**{k: v for k, v in doc.items() if k not in _DATASET_KEYS})
 
 
 def _make_splits(doc: dict[str, Any], cfg: TrainConfig):
@@ -89,11 +84,7 @@ def _make_splits(doc: dict[str, Any], cfg: TrainConfig):
         dataset = gen_xor1d(cfg.split.total, data_seed)
     else:
         dataset = gen_synth(cfg.split.total, doc["p_hat"], data_seed, doc["i_mode"], 5)
-    train_ds, val_ds, test_ds = split(dataset, cfg.split)
-    if cfg.p_missing > 0.0:
-        train_ds = apply_missingness(train_ds, cfg.p_missing, derive_seed(cfg.seed, "mask-train"))
-        val_ds = apply_missingness(val_ds, cfg.p_missing, derive_seed(cfg.seed, "mask-val"))
-    return train_ds, val_ds, test_ds
+    return split_for_training(dataset, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +112,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    doc = _load_run_config(args.config)
-    _apply_seed_override(doc)
-    cfg = _train_config(doc)
+    doc, cfg = _run_config(args.config)
     out_dir = args.out_dir or doc.get("out_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
     train_ds, val_ds, _ = _make_splits(doc, cfg)
@@ -148,9 +137,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    doc = _load_run_config(args.config)
-    _apply_seed_override(doc)
-    cfg = _train_config(doc)
+    doc, cfg = _run_config(args.config)
     ckpt = load_checkpoint(args.checkpoint)
     _, _, test_ds = _make_splits(doc, cfg)
     scorer = "symile" if cfg.objective == "symile" else "clip"
@@ -158,7 +145,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = bootstrap_accuracy(retrieval, args.bootstrap, derive_seed(cfg.seed, "eval-boot"))
     fileio.write_csv(
         args.out,
-        ("p_hat", "objective", "strategy", "seed", "mean_acc", "se", "n_test", "checkpoint_path"),
+        ACCURACY_HEADER,
         [
             (
                 doc["p_hat"],
@@ -182,9 +169,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    doc = _load_run_config(args.config)
-    _apply_seed_override(doc)
-    cfg = _train_config(doc)
+    doc, cfg = _run_config(args.config)
     ckpt = load_checkpoint(args.checkpoint)
     train_ds, _, test_ds = _make_splits(doc, cfg)
     result = sufficient_statistic_probe(
@@ -216,9 +201,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             raise SchemaError(f"grid bounds must be finite: {text!r}")
         if not (math.isfinite(step) and step > 0.0):
             raise SchemaError(f"grid step must be finite and positive: {text!r}")
-        span = (stop - start) / step  # may overflow to inf
+        span = (stop - start) / step  # may overflow to +-inf
         if span > MAX_GRID_POINTS - 1:
             raise SchemaError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        if span < -0.5:
+            raise SchemaError(f"grid {text!r} has no points: stop lies below start")
         count = int(round(span)) + 1
         grid = tuple(round(start + k * step, 10) for k in range(count))
     else:
@@ -284,15 +271,15 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce_fig3(args: argparse.Namespace) -> int:
-    doc = _load_run_config(args.config) if args.config else {"dataset": "synth5d", "p_hat": 1.0, "i_mode": "shared"}
-    _apply_seed_override(doc)
-    base_cfg = _train_config(doc)
+    doc, base_cfg = _run_config(args.config)
+    if doc["dataset"] != "synth5d":
+        raise SchemaError(f"reproduce-fig3 runs synthetic configs only, got dataset {doc['dataset']!r}")
     spec = SweepSpec(
         p_hat_grid=_parse_grid(args.grid),
         objectives=tuple(args.objectives.split(",")),
         seeds=tuple(int(s) for s in args.seeds.split(",")),
         base_config=base_cfg,
-        i_mode=doc.get("i_mode", "shared"),
+        i_mode=doc["i_mode"],
     )
     outcome = run_sweep(spec, args.out_dir, jobs=args.jobs)
     print(f"wrote {outcome.accuracy_csv} and {outcome.information_csv}")

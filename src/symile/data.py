@@ -85,7 +85,13 @@ def gen_xor1d(n: int, seed: int) -> Dataset:
 
 
 def gen_synth(n: int, p_hat: float, seed: int, i_mode: str = "shared", dims: int = 5) -> Dataset:
-    """XOR/copy mixture samples over three d-dim binary modalities."""
+    """XOR/copy mixture samples over three d-dim binary modalities.
+
+    a, b in {0,1}^d iid fair bits; the switch i ~ Bernoulli(p_hat) (one per
+    sample in ``shared`` mode, one per coordinate in ``per_coordinate``);
+    c_j = a_j XOR b_j where the switch is on, else a_j.  The switch draws
+    are recorded as latents.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= p_hat <= 1.0:
@@ -99,17 +105,6 @@ def gen_synth(n: int, p_hat: float, seed: int, i_mode: str = "shared", dims: int
     i = (rng.random(shape) < p_hat).astype(np.float64)
     c = i * np.logical_xor(a, b) + (1.0 - i) * a
     return Dataset({"a": a, "b": b, "c": c}, latents=i[:, 0] if i_mode == "shared" else i)
-
-
-def gen_synth5d(n: int, p_hat: float, seed: int, i_mode: str = "shared") -> Dataset:
-    """Five-dimensional XOR/copy mixture samples.
-
-    a, b in {0,1}^5 iid fair bits; the switch i ~ Bernoulli(p_hat) (one per
-    sample in ``shared`` mode, one per coordinate in ``per_coordinate``);
-    c_j = a_j XOR b_j where the switch is on, else a_j.  The switch draws
-    are recorded as latents.
-    """
-    return gen_synth(n, p_hat, seed, i_mode, dims=5)
 
 
 def apply_missingness(dataset: Dataset, p_missing: float, seed: int) -> Dataset:

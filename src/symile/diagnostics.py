@@ -32,10 +32,8 @@ from .objectives import draw_anchor_perms
 from .oracle import (
     JointTable,
     TabularScorer,
-    _group_contribution,
-    _sample_from,
-    _subset_states,
     bound_value,
+    contrastive_sampler,
     marginal,
     optimal_scorer,
     total_correlation,
@@ -79,28 +77,23 @@ def recover_optimal_scorer(
     warm_start: bool = False,
 ) -> tuple[TabularScorer, ScorerRecoveryReport]:
     """Fit a free score per joint state by stochastic gradient on the
-    multi-sample contrastive objective, batches drawn per its sampling
-    procedure: the positive tuple from the joint, each negative reusing
-    the anchor and drawing the other groups from their marginals.
+    multi-sample contrastive objective, on batches of the bound's own
+    sampler (``oracle.contrastive_sampler``).
 
     The learned scores on the final 25% of steps are tail-averaged to
     damp optimizer jitter before comparison with the exact log ratio.
     With ``warm_start`` the scores start at the exact log ratio (zero on
     the off-support states), which should already be optimal up to jitter.
     """
+    if min(n, steps, batches_per_step) < 1:
+        raise ValueError(
+            f"n, steps and batches_per_step must be >= 1, got {n}, {steps}, {batches_per_step}"
+        )
     if groups is None:
         groups = tuple((name,) for name in table.var_names)
     reference = optimal_scorer(table, groups)
     rng = substream(seed, "scorer-recovery")
-
-    sub_state = [_subset_states(table, g) for g in groups]
-    contribution = [_group_contribution(table, g) for g in groups]
-    joint_cum = np.cumsum(table.probs)
-    marg_cums = {
-        i: np.cumsum(marginal(table, g).probs)
-        for i, g in enumerate(groups)
-        if i != anchor
-    }
+    draw = contrastive_sampler(table, groups, anchor)
 
     g_scores = np.zeros(table.n_states)
     if warm_start:
@@ -113,19 +106,8 @@ def recover_optimal_scorer(
     tail_sum = np.zeros_like(g_scores)
     tail_count = 0
     for step in range(steps):
-        pos = _sample_from(joint_cum, rng, batches_per_step)
-        tuple_idx = np.empty((batches_per_step, n), dtype=np.int64)
-        tuple_idx[:, 0] = pos
-        if n > 1:
-            neg = np.repeat(
-                contribution[anchor][sub_state[anchor][pos]][:, None], n - 1, axis=1
-            )
-            for i in range(len(groups)):
-                if i == anchor:
-                    continue
-                neg = neg + contribution[i][_sample_from(marg_cums[i], rng, (batches_per_step, n - 1))]
-            tuple_idx[:, 1:] = neg
-
+        pos, neg = draw(rng, batches_per_step, n)
+        tuple_idx = np.column_stack([pos, neg])
         logits = g_scores[tuple_idx]
         losses, grad_logits = row_softmax_cross_entropy(
             logits, np.zeros(batches_per_step, dtype=np.int64)

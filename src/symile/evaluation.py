@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .model import ModelParams
-from .nn import affine_forward, adamw_step, init_optimizer, row_softmax_cross_entropy
+from .nn import adamw_step, encode, init_optimizer, row_softmax_cross_entropy
 from .rng import substream
 
 
@@ -35,48 +35,7 @@ def encode_modality(params: ModelParams, name: str, values: np.ndarray) -> np.nd
             f"modality {name!r}: got dim {values.shape[1]}, encoder expects "
             f"{enc.d_in} (or {enc.d_in - 1} before the indicator column)"
         )
-    return affine_forward(enc, values)
-
-
-def symile_candidate_scores(
-    params: ModelParams,
-    queries: Mapping[str, np.ndarray],
-    target: str,
-    candidates: np.ndarray,
-) -> np.ndarray:
-    """Multilinear-inner-product scores of each candidate for the target
-    modality given one query vector per remaining modality.
-
-    With a single non-target modality this reduces to dot-product ranking.
-    """
-    if candidates.shape[0] < 1:
-        raise ValueError("need at least one candidate")
-    r_cands = encode_modality(params, target, candidates)
-    query_prod = None
-    for name, vec in queries.items():
-        r = encode_modality(params, name, np.atleast_2d(vec))[0]
-        query_prod = r if query_prod is None else query_prod * r
-    if query_prod is None:
-        raise ValueError("need at least one query modality")
-    return r_cands @ query_prod
-
-
-def clip_candidate_scores(
-    params: ModelParams,
-    queries: Mapping[str, np.ndarray],
-    target: str,
-    candidates: np.ndarray,
-) -> np.ndarray:
-    """Pairwise-similarity scores: sum over query modalities of the dot
-    product between the encoded query and each encoded candidate."""
-    if candidates.shape[0] < 1:
-        raise ValueError("need at least one candidate")
-    r_cands = encode_modality(params, target, candidates)
-    total = np.zeros(candidates.shape[0], dtype=r_cands.dtype)
-    for name, vec in queries.items():
-        r = encode_modality(params, name, np.atleast_2d(vec))[0]
-        total += r_cands @ r
-    return total
+    return encode(enc, values)[0]
 
 
 @dataclass
@@ -104,46 +63,50 @@ def binary_vector_index(vectors: np.ndarray) -> np.ndarray:
     return (vectors.astype(np.int64) << np.arange(d)).sum(axis=1)
 
 
+def candidate_scores(
+    params: ModelParams,
+    scorer: str,
+    queries: Mapping[str, np.ndarray],
+    target: str,
+    candidates: np.ndarray,
+) -> np.ndarray:
+    """(Q, K) scores of K candidates for the target modality, given Q query
+    rows of every remaining modality.
+
+    ``scorer`` is "symile" (the multilinear inner product of the encoded
+    tuple; with one query modality, the dot product) or "clip" (the sum
+    over query modalities of the dot product with the candidate).
+    """
+    if scorer not in ("symile", "clip"):
+        raise ValueError(f"unknown scorer {scorer!r}")
+    if not queries:
+        raise ValueError("need at least one query modality")
+    if len(candidates) < 1:
+        raise ValueError("need at least one candidate")
+    r_cands = encode_modality(params, target, candidates)
+    encoded = [encode_modality(params, m, values) for m, values in queries.items()]
+    if scorer == "symile":
+        prod = encoded[0].copy()
+        for r in encoded[1:]:
+            prod *= r
+        return prod @ r_cands.T
+    return sum(r @ r_cands.T for r in encoded)
+
+
 def classify_target(
     params: ModelParams,
     scorer: str,
     dataset: Dataset,
     target: str = "b",
 ) -> RetrievalResult:
-    """Rank all 2^d possible target vectors for every sample's queries.
-
-    ``scorer`` is "symile" (multilinear score) or "clip" (pairwise
-    similarity sum).  Queries are the remaining modalities' raw values.
-    """
-    if scorer not in ("symile", "clip"):
-        raise ValueError(f"unknown scorer {scorer!r}")
-    d = dataset.modalities[target].shape[1]
-    candidates = all_binary_vectors(d)
-    r_cands = encode_modality(params, target, candidates)
-
-    query_names = [m for m in dataset.names if m != target]
-    encoded = {
-        m: encode_modality(params, m, dataset.modalities[m]) for m in query_names
-    }
-    if scorer == "symile":
-        prod = encoded[query_names[0]].copy()
-        for m in query_names[1:]:
-            prod *= encoded[m]
-        scores = prod @ r_cands.T
-    else:
-        scores = sum(encoded[m] @ r_cands.T for m in encoded)
+    """Rank all 2^d possible target vectors for every sample's queries,
+    the remaining modalities' raw values (see ``candidate_scores``)."""
+    queries = {m: dataset.modalities[m] for m in dataset.names if m != target}
+    candidates = all_binary_vectors(dataset.modalities[target].shape[1])
+    scores = candidate_scores(params, scorer, queries, target, candidates)
     predicted = np.argmax(scores, axis=1)  # ties -> lowest index
     true = binary_vector_index(dataset.modalities[target])
     return RetrievalResult(predicted, true, scores)
-
-
-def classify_b_5d(
-    params: ModelParams, scorer: str, dataset: Dataset
-) -> RetrievalResult:
-    """Rank the 32 possible 5-bit middle-modality vectors per test query."""
-    if dataset.modalities["b"].shape[1] != 5:
-        raise ValueError("classify_b_5d expects a 5-dim 'b' modality")
-    return classify_target(params, scorer, dataset, target="b")
 
 
 @dataclass

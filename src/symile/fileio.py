@@ -15,7 +15,6 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import SchemaError
 
 TOOL_NAME = "symile"
 TOOL_VERSION = "0.1.0"
@@ -78,11 +77,6 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def read_provenance(path: str) -> dict[str, Any]:
-    with open(path) as f:
-        return json.loads(f.readline())
-
-
 # ---------------------------------------------------------------------------
 # Dataset files: provenance line, dataset header line, then row-major CSV
 # blocks per modality (shapes come from the header), then masks as 0/1 CSV
@@ -122,45 +116,6 @@ def write_dataset(path: str, dataset: Dataset, seed: int, meta: Mapping[str, Any
 def _write_block(f, values: np.ndarray) -> None:
     for row in values:
         f.write(",".join(format_float(v) for v in row) + "\n")
-
-
-def read_dataset(path: str) -> tuple[Dataset, dict[str, Any]]:
-    with open(path) as f:
-        f.readline()  # provenance
-        header = json.loads(f.readline())
-        if header.get("kind") != "dataset":
-            raise SchemaError(f"{path} is not a dataset file")
-        n = header["n"]
-        modalities: dict[str, np.ndarray] = {}
-        for name in header["modalities"]:
-            d = header["dims"][name]
-            modalities[name] = _read_block(f, n, d)
-        masks = None
-        if header["has_masks"]:
-            matrix = _read_block(f, n, len(header["modalities"]))
-            masks = {
-                name: matrix[:, i].astype(bool)
-                for i, name in enumerate(header["modalities"])
-            }
-        latents = None
-        if header["latent_dims"]:
-            latents = _read_block(f, n, header["latent_dims"])
-            if header["latent_dims"] == 1:
-                latents = latents[:, 0]
-    return Dataset(modalities, latents=latents, masks=masks), header
-
-
-def _read_block(f, n: int, d: int) -> np.ndarray:
-    out = np.empty((n, d))
-    for i in range(n):
-        line = f.readline()
-        if not line:
-            raise SchemaError("dataset file truncated")
-        parts = line.rstrip("\n").split(",")
-        if len(parts) != d:
-            raise SchemaError(f"expected {d} columns, got {len(parts)}")
-        out[i] = [float(p) for p in parts]
-    return out
 
 
 def array_to_json(a: np.ndarray) -> dict[str, Any]:

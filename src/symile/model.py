@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .nn import AffineEncoder, normalize_rows, normalize_rows_backward
+from .nn import AffineEncoder, encode, normalize_rows_backward
 from .objectives import (
     modality_pairs,
     pairwise_clip_loss_grads,
@@ -105,20 +105,6 @@ def unflatten_params(template: ModelParams, arrays: Sequence[np.ndarray]) -> Mod
     return ModelParams(encoders, next(it))
 
 
-def encode_batch(
-    params: ModelParams, inputs: Mapping[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Representations for a batch of per-modality input rows."""
-    reps: dict[str, np.ndarray] = {}
-    for name, enc in params.encoders.items():
-        x = inputs[name]
-        z = x @ enc.W.T + enc.b
-        if enc.normalize:
-            z, _ = normalize_rows(z)
-        reps[name] = z
-    return reps
-
-
 def _input_states(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first row of each distinct input row, state of every row).
 
@@ -154,22 +140,12 @@ def loss_and_grads(
 
     distinct: dict[str, np.ndarray] = {}
     rows: dict[str, np.ndarray] = {}
-    norms: dict[str, np.ndarray] = {}
+    norms: dict[str, np.ndarray | None] = {}
     reps: dict[str, np.ndarray] = {}
     for name in names:
-        enc = params.encoders[name]
-        x = inputs[name]
-        if x.shape[1] != enc.d_in:
-            raise ValueError(
-                f"modality {name!r}: input dim {x.shape[1]} != encoder d_in {enc.d_in}"
-            )
-        first, rows[name] = _input_states(x)
-        distinct[name] = x[first]
-        z = distinct[name] @ enc.W.T + enc.b
-        if enc.normalize:
-            reps[name], norms[name] = normalize_rows(z)
-        else:
-            reps[name] = z
+        first, rows[name] = _input_states(inputs[name])
+        distinct[name] = inputs[name][first]
+        reps[name], norms[name] = encode(params.encoders[name], distinct[name])
 
     scales = params.scales()
     if objective == "symile":
@@ -187,13 +163,8 @@ def loss_and_grads(
 
     grads: list[np.ndarray] = []
     for name in names:
-        enc = params.encoders[name]
         d_r = d_reps[name]
-        d_z = (
-            normalize_rows_backward(reps[name], norms[name], d_r)
-            if enc.normalize
-            else d_r
-        )
+        d_z = d_r if norms[name] is None else normalize_rows_backward(reps[name], norms[name], d_r)
         grads.extend([d_z.T @ distinct[name], d_z.sum(axis=0)])
     if scales.size == d_scales.size:
         grads.append(d_scales * scales)  # d loss / d log_scale

@@ -57,40 +57,18 @@ def normalize_rows_backward(
     return (grad_r - r * inner) / norms
 
 
-def affine_forward(encoder: AffineEncoder, x: np.ndarray) -> np.ndarray:
-    """Encode one vector or a batch of row vectors."""
-    x = np.asarray(x)
+def encode(encoder: AffineEncoder, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(representations of the rows of ``x``, their norms before the
+    projection, or None when the encoder does not normalize)."""
     if x.shape[-1] != encoder.d_in:
         raise ValueError(f"input dim {x.shape[-1]} != encoder d_in {encoder.d_in}")
     z = x @ encoder.W.T + encoder.b
-    if encoder.normalize:
-        z, _ = normalize_rows(z)
-    return z
+    return normalize_rows(z) if encoder.normalize else (z, None)
 
 
 # ---------------------------------------------------------------------------
 # Softmax cross-entropy
 # ---------------------------------------------------------------------------
-
-
-def softmax_cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """(-log softmax(logits)[target], softmax(logits) - onehot(target)).
-
-    Max-subtraction makes the computation immune to large logits; the loss
-    is invariant to adding a constant to all logits.
-    """
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(logits)):
-        raise NonFiniteError("logits must be finite")
-    if not 0 <= target < logits.size:
-        raise ValueError(f"target {target} out of range for {logits.size} logits")
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
-    loss = float(np.log(e.sum()) - shifted[target])
-    grad = p.copy()
-    grad[target] -= 1.0
-    return loss, grad
 
 
 def row_softmax_cross_entropy(

@@ -320,19 +320,7 @@ def clip_directional_loss(rx: np.ndarray, ry: np.ndarray, scale: float) -> float
 def clip_pair_loss(rx: np.ndarray, ry: np.ndarray, scale: float) -> float:
     """Two-modality contrastive loss: mean of the two directional CE terms,
     each classifying the matched pair against full in-batch candidates."""
-    loss, _, _, _ = clip_pair_loss_grads(rx, ry, scale)
-    return loss
-
-
-def clip_pair_loss_grads(
-    rx: np.ndarray, ry: np.ndarray, scale: float
-) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """(loss, d_rx, d_ry, d_scale) for the two-modality loss: the mean of
-    the x-anchored and y-anchored terms with identity permutations."""
-    if rx.ndim != 2 or ry.ndim != 2:
-        raise ValueError(f"bad representation shapes {rx.shape}, {ry.shape}")
-    loss, d_reps, d_scale = pairwise_clip_loss_grads({"x": rx, "y": ry}, scale)
-    return loss, d_reps["x"], d_reps["y"], float(d_scale[0])
+    return pairwise_clip_loss({"x": rx, "y": ry}, scale)
 
 
 def modality_pairs(names: Sequence[str]) -> list[tuple[str, str]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -220,15 +220,6 @@ def total_correlation(table: JointTable, groups: Sequence[Sequence[str]]) -> flo
     return sum(entropy(table, g) for g in groups) - entropy(table, union)
 
 
-@dataclass(frozen=True)
-class InfoReport:
-    """One computed information quantity, for tabulation."""
-
-    kind: str  # entropy | mi | cmi | tc
-    groups: tuple[tuple[str, ...], ...]
-    value_nats: float
-
-
 # ---------------------------------------------------------------------------
 # Table constructors
 # ---------------------------------------------------------------------------
@@ -360,10 +351,38 @@ def _group_contribution(table: JointTable, names: Sequence[str]) -> np.ndarray:
 
 
 def _sample_from(cumulative: np.ndarray, rng: np.random.Generator, size) -> np.ndarray:
-    u = rng.random(size)
-    return np.minimum(
-        np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1
-    )
+    idx = np.searchsorted(cumulative, rng.random(size), side="right")
+    return np.minimum(idx, len(cumulative) - 1, out=idx)
+
+
+def contrastive_sampler(
+    table: JointTable, groups: Sequence[Sequence[str]], anchor: int
+) -> Callable[[np.random.Generator, int, int], tuple[np.ndarray, np.ndarray]]:
+    """The batch sampler of the contrastive bound, as ``draw(rng, k, n)``.
+
+    ``draw`` returns the flat states of ``k`` batches of ``n`` tuples: the
+    positives, shape (k,), drawn from the joint, and the negatives, shape
+    (k, n - 1), each of which reuses its positive's anchor group and draws
+    every other group independently from its marginal.  The uniforms come
+    from ``rng`` in that order: the positives, then one (k, n - 1) block
+    per non-anchor group.
+    """
+    joint_cum = np.cumsum(table.probs)
+    anchor_part = _group_contribution(table, groups[anchor])[_subset_states(table, groups[anchor])]
+    others = [
+        (np.cumsum(marginal(table, g).probs), _group_contribution(table, g))
+        for i, g in enumerate(groups)
+        if i != anchor
+    ]
+
+    def draw(rng: np.random.Generator, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        pos = _sample_from(joint_cum, rng, k)
+        neg = np.repeat(anchor_part[pos][:, None], n - 1, axis=1)
+        for cumulative, contribution in others:
+            neg += contribution[_sample_from(cumulative, rng, (k, n - 1))]
+        return pos, neg
+
+    return draw
 
 
 def bound_value(
@@ -377,12 +396,10 @@ def bound_value(
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of the multi-sample contrastive lower bound.
 
-    Each sample draws one positive tuple from the joint and ``n - 1``
-    negative tuples that reuse the positive's anchor group but draw every
-    non-anchor group independently from its marginal.  The estimate is
-    ``log n`` plus the mean log-probability that the scorer's softmax
-    assigns to the positive; the second return value is the standard error
-    of the mean.
+    Each sample is one batch of ``contrastive_sampler``: a positive tuple
+    from the joint and ``n - 1`` negatives.  The estimate is ``log n``
+    plus the mean log-probability that the scorer's softmax assigns to the
+    positive; the second return value is the standard error of the mean.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
@@ -397,40 +414,23 @@ def bound_value(
         raise ValueError(f"anchor index {anchor} out of range")
 
     rng = substream(seed, "bound", anchor, n)
-    joint_cum = np.cumsum(table.probs)
-    sub_state = {i: _subset_states(table, g) for i, g in enumerate(groups)}
-    contribution = {i: _group_contribution(table, g) for i, g in enumerate(groups)}
-    marg_cums = {
-        i: np.cumsum(marginal(table, g).probs)
-        for i, g in enumerate(groups)
-        if i != anchor
-    }
-
+    draw = contrastive_sampler(table, groups, anchor)
     total = 0.0
     total_sq = 0.0
     done = 0
     chunk = max(1, (1 << 20) // n)
     while done < mc_samples:
         k = min(chunk, mc_samples - done)
-        pos = _sample_from(joint_cum, rng, k)
+        pos, neg = draw(rng, k, n)
         pos_scores = scorer.scores[pos]
-        neg_idx = np.repeat(
-            contribution[anchor][sub_state[anchor][pos]][:, None], n - 1, axis=1
-        )
-        for i in range(len(groups)):
-            if i == anchor:
-                continue
-            draws = _sample_from(marg_cums[i], rng, (k, n - 1))
-            neg_idx += contribution[i][draws]
-        neg_scores = scorer.scores[neg_idx] if n > 1 else np.empty((k, 0))
+        neg_scores = scorer.scores[neg]
 
         # log softmax of the positive among the n tuples; the positive's
         # score is finite, so the row max is finite even when negatives
         # land on zero-mass states.
         row_max = np.maximum(pos_scores, neg_scores.max(axis=1, initial=-np.inf))
-        denom = np.exp(pos_scores - row_max) + np.exp(
-            neg_scores - row_max[:, None]
-        ).sum(axis=1)
+        neg_scores -= row_max[:, None]
+        denom = np.exp(pos_scores - row_max) + np.exp(neg_scores, out=neg_scores).sum(axis=1)
         vals = pos_scores - (row_max + np.log(denom))
         total += vals.sum()
         total_sq += (vals * vals).sum()

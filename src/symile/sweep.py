@@ -20,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -27,12 +28,11 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from . import fileio
-from .data import apply_missingness, split
 from .data import gen_synth
 from .errors import SchemaError
 from .evaluation import bootstrap_accuracy, classify_target
+from .model import OBJECTIVES
 from .oracle import (
-    InfoReport,
     build_synth_table,
     conditional_mi,
     mutual_information,
@@ -40,7 +40,7 @@ from .oracle import (
     total_correlation,
 )
 from .rng import derive_seed
-from .train import TrainConfig, save_checkpoint, train
+from .train import TrainConfig, save_checkpoint, split_for_training, train
 
 ACCURACY_HEADER = (
     "p_hat",
@@ -72,6 +72,15 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.p_hat_grid or not self.objectives or not self.seeds:
             raise ValueError("grid, objectives and seeds must be nonempty")
+        unknown = [o for o in self.objectives if o not in OBJECTIVES]
+        if unknown:
+            raise SchemaError(f"unknown objectives {unknown}; choose from {list(OBJECTIVES)}")
+        for seed in self.seeds:
+            if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+                raise SchemaError(f"seeds must be non-negative integers, got {seed!r}")
+        for values in (self.p_hat_grid, self.objectives, self.seeds):
+            if len(set(values)) != len(values):  # two threads would share one cell
+                raise SchemaError(f"grid, objectives and seeds must not repeat: {values}")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -105,10 +114,7 @@ def run_cell(
     cfg = replace(spec.base_config, objective=objective, seed=seed)
     data_seed = derive_seed(seed, "sweep-data")
     dataset = gen_synth(cfg.split.total, p_hat, data_seed, spec.i_mode, spec.dims)
-    train_ds, val_ds, test_ds = split(dataset, cfg.split)
-    if cfg.p_missing > 0.0:
-        train_ds = apply_missingness(train_ds, cfg.p_missing, derive_seed(seed, "mask-train"))
-        val_ds = apply_missingness(val_ds, cfg.p_missing, derive_seed(seed, "mask-val"))
+    train_ds, val_ds, test_ds = split_for_training(dataset, cfg)
 
     result = train(cfg, train_ds, val_ds)
     scorer = "symile" if objective == "symile" else "clip"
@@ -177,17 +183,16 @@ def information_rows(
             table = build_synth_table(p_hat, dims, i_mode)
             a, b, c = synth_var_names(dims)
             label = f"dims={dims}"
-            reports = [
-                (InfoReport("mi", (a, b), mutual_information(table, a, b)), "a;b"),
-                (InfoReport("mi", (b, c), mutual_information(table, b, c)), "b;c"),
-                (InfoReport("mi", (a, c), mutual_information(table, a, c)), "a;c"),
-                (InfoReport("cmi", (a, b, c), conditional_mi(table, a, b, c)), "a;b|c"),
-                (InfoReport("cmi", (b, c, a), conditional_mi(table, b, c, a)), "b;c|a"),
-                (InfoReport("cmi", (a, c, b), conditional_mi(table, a, c, b)), "a;c|b"),
-                (InfoReport("tc", (a, b, c), total_correlation(table, (a, b, c))), "a;b;c"),
-            ]
-            for rep, group_spec in reports:
-                rows.append((p_hat, rep.kind, f"{group_spec}@{label}", rep.value_nats))
+            for kind, group_spec, value in (
+                ("mi", "a;b", mutual_information(table, a, b)),
+                ("mi", "b;c", mutual_information(table, b, c)),
+                ("mi", "a;c", mutual_information(table, a, c)),
+                ("cmi", "a;b|c", conditional_mi(table, a, b, c)),
+                ("cmi", "b;c|a", conditional_mi(table, b, c, a)),
+                ("cmi", "a;c|b", conditional_mi(table, a, c, b)),
+                ("tc", "a;b;c", total_correlation(table, (a, b, c))),
+            ):
+                rows.append((p_hat, kind, f"{group_spec}@{label}", value))
     return rows
 
 

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from . import fileio
-from .data import Dataset, SplitSpec, encoder_inputs
+from .data import Dataset, SplitSpec, apply_missingness, encoder_inputs, split
 from .errors import DivergenceError, NonFiniteError, SchemaError
 from .model import (
     ModelParams,
@@ -28,7 +28,7 @@ from .model import (
     loss_and_grads,
     unflatten_params,
 )
-from .nn import AffineEncoder, OptimizerState, adamw_step, init_optimizer
+from .nn import AffineEncoder, adamw_step, init_optimizer
 from .objectives import STRATEGIES
 from .rng import derive_seed, substream
 
@@ -72,6 +72,8 @@ class TrainConfig:
             self.split = SplitSpec(**self.split)
         if not isinstance(self.split, SplitSpec):
             raise SchemaError(f"split must be an object of train/val/test counts, got {self.split!r}")
+        if min(self.split.train, self.split.val) < 2:
+            raise SchemaError("the train and val splits need at least 2 samples each")
         if self.objective not in OBJECTIVES:
             raise SchemaError(f"unknown objective {self.objective!r}")
         if self.strategy not in STRATEGIES:
@@ -105,14 +107,14 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
-    """Model snapshot selected by lowest validation loss."""
+    """Parameters of the epoch with the lowest validation loss.  It holds
+    no Adam moments, so a run cannot be resumed from it."""
 
     params: ModelParams
     epoch: int
     val_loss: float
     config_hash: str
     seed: int
-    optimizer: OptimizerState | None = None
 
 
 @dataclass
@@ -120,6 +122,19 @@ class TrainResult:
     checkpoint: Checkpoint
     history: list[dict[str, float]]  # per-epoch train/val losses
     final_params: ModelParams
+
+
+def split_for_training(
+    dataset: Dataset, cfg: TrainConfig
+) -> tuple[Dataset, Dataset, Dataset]:
+    """(train, val, test) slices of ``dataset`` per ``cfg.split``; with
+    ``cfg.p_missing`` the train and val slices are masked, the test slice
+    stays complete."""
+    train_ds, val_ds, test_ds = split(dataset, cfg.split)
+    if cfg.p_missing > 0.0:
+        train_ds = apply_missingness(train_ds, cfg.p_missing, derive_seed(cfg.seed, "mask-train"))
+        val_ds = apply_missingness(val_ds, cfg.p_missing, derive_seed(cfg.seed, "mask-val"))
+    return train_ds, val_ds, test_ds
 
 
 def _batched_loss(
@@ -231,7 +246,6 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainResult:
                 val_loss=val_loss,
                 config_hash=cfg_hash,
                 seed=cfg.seed,
-                optimizer=copy.deepcopy(opt),
             )
     assert best is not None
     return TrainResult(checkpoint=best, history=history, final_params=params)
@@ -260,19 +274,6 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
             for name, enc in ckpt.params.encoders.items()
         },
     }
-    if ckpt.optimizer is not None:
-        opt = ckpt.optimizer
-        doc["optimizer"] = {
-            "lr": opt.lr,
-            "weight_decay": opt.weight_decay,
-            "beta1": opt.beta1,
-            "beta2": opt.beta2,
-            "eps": opt.eps,
-            "step": opt.step,
-            "m": [fileio.array_to_json(a) for a in opt.m],
-            "v": [fileio.array_to_json(a) for a in opt.v],
-            "decay": opt.decay,
-        }
     with open(path, "w", newline="\n") as f:
         f.write(fileio.provenance_line(ckpt.seed, ckpt.config_hash) + "\n")
         f.write(fileio.canonical_json(doc) + "\n")
@@ -293,25 +294,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         for name, spec in doc["encoders"].items()
     }
     params = ModelParams(encoders, fileio.array_from_json(doc["log_scale"]))
-    optimizer = None
-    if "optimizer" in doc:
-        o = doc["optimizer"]
-        optimizer = OptimizerState(
-            lr=o["lr"],
-            weight_decay=o["weight_decay"],
-            beta1=o["beta1"],
-            beta2=o["beta2"],
-            eps=o["eps"],
-            step=o["step"],
-            m=[fileio.array_from_json(a) for a in o["m"]],
-            v=[fileio.array_from_json(a) for a in o["v"]],
-            decay=list(o["decay"]),
-        )
     return Checkpoint(
         params=params,
         epoch=doc["epoch"],
         val_loss=doc["val_loss"],
         config_hash=doc["config_hash"],
         seed=doc["seed"],
-        optimizer=optimizer,
     )

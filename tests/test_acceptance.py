@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from symile.cli import main as cli_main
-from symile.data import apply_missingness, gen_xor1d, gen_synth5d, split
+from symile.data import apply_missingness, gen_xor1d, gen_synth, split
 from symile.diagnostics import calibration_example, recover_optimal_scorer, run_gradient_check
 from symile.evaluation import bootstrap_accuracy, classify_target
 from symile.objectives import clip_directional_loss, symile_loss
@@ -93,7 +93,7 @@ def xor_runs():
 def grid_runs():
     runs = {}
     for p_hat in GRID:
-        dataset = gen_synth5d(
+        dataset = gen_synth(
             TrainConfig().split.total, p_hat, seed=derive_seed(SEED, "acc-data")
         )
         for obj in ("symile", "pairwise_clip"):
@@ -103,7 +103,7 @@ def grid_runs():
 
 @pytest.fixture(scope="module")
 def missing_runs():
-    dataset = gen_synth5d(
+    dataset = gen_synth(
         TrainConfig().split.total, 1.0, seed=derive_seed(SEED, "acc-data")
     )
     return {

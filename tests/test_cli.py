@@ -12,7 +12,6 @@ import pytest
 
 from symile import cli
 from symile.cli import main
-from symile.fileio import read_dataset
 from symile.train import load_checkpoint
 
 TINY_CONFIG = {
@@ -43,12 +42,12 @@ def read_lines(path):
 
 
 class TestGen:
-    def test_writes_and_reads_back(self, tmp_path):
+    def test_writes_and_reads_back(self, tmp_path, read_dataset_file):
         out = str(tmp_path / "data.txt")
         assert main(["gen", "--dataset", "xor1d", "--n", "200", "--seed", "7", "--out", out]) == 0
-        ds, header = read_dataset(out)
-        assert ds.n == 200 and header["seed"] == 7
-        a, b, c = (ds.modalities[k][:, 0] for k in "abc")
+        header, blocks = read_dataset_file(out)
+        assert header["n"] == 200 and header["seed"] == 7
+        a, b, c = (blocks[k][:, 0] for k in "abc")
         np.testing.assert_array_equal(np.logical_xor(a, b).astype(float), c)
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -60,14 +59,16 @@ class TestGen:
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
 
-    def test_masked_roundtrip(self, tmp_path):
+    def test_masked_roundtrip(self, tmp_path, read_dataset_file):
         out = str(tmp_path / "masked")
         main(["gen", "--dataset", "synth5d", "--n", "150", "--seed", "1",
               "--p-hat", "0.3", "--missing-p", "0.4", "--out", out])
-        ds, header = read_dataset(out)
-        assert header["has_masks"] and ds.masks is not None
-        for k in "abc":
-            assert np.all(ds.modalities[k][~ds.masks[k]] == 0.0)
+        header, blocks = read_dataset_file(out)
+        assert header["has_masks"]
+        observed = blocks["masks"].astype(bool)
+        assert not observed.all()
+        for i, k in enumerate("abc"):
+            assert np.all(blocks[k][~observed[:, i]] == 0.0)
 
     def test_invalid_p_hat_exit_2(self, tmp_path, capsys):
         code = main(["gen", "--dataset", "synth5d", "--n", "10", "--p-hat", "1.5",
@@ -272,6 +273,13 @@ class TestDiagnoseCommand:
             main(["diagnose", "--check", "nope", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_scorer_without_steps_exit_2(self, tmp_path, capsys, steps):
+        out = tmp_path / "scorer.csv"
+        assert main(["diagnose", "--check", "scorer", "--steps", steps, "--out", str(out)]) == 2
+        assert "steps" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_tiny_sweep_and_resume(self, tmp_path, tiny_config_path, capsys):
@@ -305,6 +313,26 @@ class TestSweepCommand:
                 )
             )
         assert outs[0] == outs[1]
+
+
+    @pytest.mark.parametrize("flag,value", [("--objectives", "foo"), ("--objectives", "symile,symile"),
+                                            ("--seeds", "-1"), ("--seeds", "0,0")])
+    def test_bad_matrix_exit_2_before_output(self, tmp_path, tiny_config_path, capsys, flag, value):
+        out_dir = tmp_path / "sweep"
+        args = ["reproduce-fig3", "--config", tiny_config_path, "--grid", "1", flag, value,
+                "--out-dir", str(out_dir)]
+        assert main(args) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_non_synthetic_config_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "xor.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "dataset": "xor1d"}))
+        out_dir = tmp_path / "sweep"
+        args = ["reproduce-fig3", "--config", str(config), "--grid", "1", "--out-dir", str(out_dir)]
+        assert main(args) == 2
+        assert "xor1d" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestConsoleScript:

@@ -9,7 +9,7 @@ from symile.data import (
     SplitSpec,
     apply_missingness,
     encoder_inputs,
-    gen_synth5d,
+    gen_synth,
     gen_xor1d,
     split,
 )
@@ -63,21 +63,21 @@ class TestXor1d:
 
 class TestSynth5d:
     def test_extremes(self):
-        d0 = gen_synth5d(2000, 0.0, seed=4)
+        d0 = gen_synth(2000, 0.0, seed=4)
         np.testing.assert_array_equal(d0.modalities["c"], d0.modalities["a"])
-        d1 = gen_synth5d(2000, 1.0, seed=4)
+        d1 = gen_synth(2000, 1.0, seed=4)
         np.testing.assert_array_equal(
             d1.modalities["c"],
             np.logical_xor(d1.modalities["a"], d1.modalities["b"]).astype(float),
         )
 
     def test_latent_mean(self):
-        ds = gen_synth5d(100_000, 0.5, seed=5)
+        ds = gen_synth(100_000, 0.5, seed=5)
         assert ds.latents is not None and ds.latents.shape == (100_000,)
         assert 0.49 <= ds.latents.mean() <= 0.51
 
     def test_relation_given_latent(self):
-        ds = gen_synth5d(5000, 0.5, seed=6)
+        ds = gen_synth(5000, 0.5, seed=6)
         a, b, c, i = (
             ds.modalities["a"],
             ds.modalities["b"],
@@ -95,7 +95,7 @@ class TestSynth5d:
         # collapse each coordinate to an (a_j, b_j, c_j) triple and compare
         # against the exact one-dim mixture table cell by cell
         n = 100_000
-        ds = gen_synth5d(n, p_hat, seed=7)
+        ds = gen_synth(n, p_hat, seed=7)
         table = build_synth_table(p_hat, 1, "shared")
         tol = 5.0 * np.sqrt(0.25 * 0.75 / n)
         for j in range(5):
@@ -108,7 +108,7 @@ class TestSynth5d:
             assert np.abs(freq - table.probs).max() <= tol
 
     def test_per_coordinate_mode(self):
-        ds = gen_synth5d(50_000, 0.5, seed=8, i_mode="per_coordinate")
+        ds = gen_synth(50_000, 0.5, seed=8, i_mode="per_coordinate")
         assert ds.latents.shape == (50_000, 5)
         # coordinates switch independently: rows rarely all-equal
         same = (ds.latents == ds.latents[:, [0]]).all(axis=1).mean()
@@ -117,7 +117,7 @@ class TestSynth5d:
 
 class TestMissingness:
     def test_zero_probability_noop(self):
-        ds = gen_synth5d(500, 0.5, seed=9)
+        ds = gen_synth(500, 0.5, seed=9)
         masked = apply_missingness(ds, 0.0, seed=9)
         assert all(m.all() for m in masked.masks.values())
         for k in "abc":
@@ -125,7 +125,7 @@ class TestMissingness:
 
     def test_rates_and_zero_fill(self):
         n = 100_000
-        ds = gen_synth5d(n, 1.0, seed=10)
+        ds = gen_synth(n, 1.0, seed=10)
         masked = apply_missingness(ds, 0.5, seed=10)
         complete = np.ones(n, dtype=bool)
         for k in "abc":
@@ -142,20 +142,20 @@ class TestMissingness:
             apply_missingness(ds, 0.3, seed=1)
 
     def test_encoder_inputs_indicator(self):
-        ds = apply_missingness(gen_synth5d(100, 1.0, seed=11), 0.4, seed=11)
+        ds = apply_missingness(gen_synth(100, 1.0, seed=11), 0.4, seed=11)
         inputs = encoder_inputs(ds)
         for k in "abc":
             assert inputs[k].shape == (100, 6)
             np.testing.assert_array_equal(
                 inputs[k][:, 5], (~ds.masks[k]).astype(float)
             )
-        complete = encoder_inputs(gen_synth5d(100, 1.0, seed=11))
+        complete = encoder_inputs(gen_synth(100, 1.0, seed=11))
         assert complete["a"].shape == (100, 5)
 
 
 class TestSplit:
     def test_partition(self):
-        ds = gen_synth5d(16_000, 0.5, seed=12)
+        ds = gen_synth(16_000, 0.5, seed=12)
         tr, va, te = split(ds, SplitSpec(10_000, 1_000, 5_000))
         assert (tr.n, va.n, te.n) == (10_000, 1_000, 5_000)
         stacked = np.vstack(
@@ -174,7 +174,7 @@ class TestSplit:
             split(ds, SplitSpec(5, 4, 2))
 
     def test_split_carries_masks_and_latents(self):
-        ds = apply_missingness(gen_synth5d(300, 0.5, seed=13), 0.2, seed=13)
+        ds = apply_missingness(gen_synth(300, 0.5, seed=13), 0.2, seed=13)
         tr, va, te = split(ds, SplitSpec(100, 100, 100))
         assert tr.masks is not None and tr.latents is not None
         np.testing.assert_array_equal(tr.masks["b"], ds.masks["b"][:100])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symile.data import Dataset, gen_synth5d
+from symile.data import Dataset, gen_synth
 from symile.evaluation import (
     BootstrapReport,
     RetrievalResult,
@@ -11,12 +11,11 @@ from symile.evaluation import (
     binary_vector_index,
     bootstrap_accuracy,
     calibrated_conditional,
+    candidate_scores,
     classify_target,
-    clip_candidate_scores,
     encode_modality,
     rank_with_prior,
     sufficient_statistic_probe,
-    symile_candidate_scores,
 )
 from symile.model import init_params
 from symile.objectives import mip
@@ -28,7 +27,7 @@ class TestCandidateScores:
         rng = np.random.default_rng(0)
         queries = {"a": rng.random(2), "c": rng.random(2)}
         candidates = rng.random((3, 2))
-        scores = symile_candidate_scores(params, queries, "b", candidates)
+        scores = candidate_scores(params, "symile", queries, "b", candidates)[0]
         ra = encode_modality(params, "a", queries["a"])[0]
         rc = encode_modality(params, "c", queries["c"])[0]
         for k in range(3):
@@ -40,7 +39,7 @@ class TestCandidateScores:
         rng = np.random.default_rng(1)
         queries = {"a": rng.random(2), "c": rng.random(2)}
         cand = rng.random(2)
-        scores = symile_candidate_scores(params, queries, "b", np.stack([cand, cand]))
+        scores = candidate_scores(params, "symile", queries, "b", np.stack([cand, cand]))[0]
         assert scores[0] == scores[1]
 
     def test_single_query_reduces_to_dot(self):
@@ -48,11 +47,11 @@ class TestCandidateScores:
         rng = np.random.default_rng(2)
         queries = {"a": rng.random(2)}
         candidates = rng.random((4, 2))
-        sym = symile_candidate_scores(params, queries, "b", candidates)
+        sym = candidate_scores(params, "symile", queries, "b", candidates)[0]
         ra = encode_modality(params, "a", queries["a"])[0]
         rb = encode_modality(params, "b", candidates)
         np.testing.assert_allclose(sym, rb @ ra, atol=1e-12)
-        clip = clip_candidate_scores(params, queries, "b", candidates)
+        clip = candidate_scores(params, "clip", queries, "b", candidates)[0]
         np.testing.assert_allclose(clip, sym, atol=1e-12)
 
     def test_clip_scores_symmetric_in_queries(self):
@@ -60,8 +59,8 @@ class TestCandidateScores:
         rng = np.random.default_rng(3)
         qa, qc = rng.random(2), rng.random(2)
         candidates = rng.random((5, 2))
-        s1 = clip_candidate_scores(params, {"a": qa, "c": qc}, "b", candidates)
-        s2 = clip_candidate_scores(params, {"c": qc, "a": qa}, "b", candidates)
+        s1 = candidate_scores(params, "clip", {"a": qa, "c": qc}, "b", candidates)
+        s2 = candidate_scores(params, "clip", {"c": qc, "a": qa}, "b", candidates)
         np.testing.assert_array_equal(s1, s2)
 
     def test_scale_invariant_ranking(self):
@@ -81,7 +80,7 @@ class TestClassifyTarget:
         np.testing.assert_array_equal(binary_vector_index(vecs), np.arange(32))
 
     def test_untrained_model_near_chance(self):
-        ds = gen_synth5d(5000, 1.0, seed=5)
+        ds = gen_synth(5000, 1.0, seed=5)
         params = init_params({"a": 5, "b": 5, "c": 5}, 16, seed=777)
         for scorer in ("symile", "clip"):
             acc = classify_target(params, scorer, ds).accuracy
@@ -199,8 +198,8 @@ class TestSufficientStatisticProbe:
     def test_no_information_target_stays_at_chance(self):
         # with the copy process the middle modality is independent of the
         # others, so no probe can beat the 1/32 floor
-        tr = gen_synth5d(4000, 0.0, seed=13)
-        te = gen_synth5d(2000, 0.0, seed=14)
+        tr = gen_synth(4000, 0.0, seed=13)
+        te = gen_synth(2000, 0.0, seed=14)
         params = init_params({"a": 5, "b": 5, "c": 5}, 16, seed=15)
         result = sufficient_statistic_probe(params, tr, te, target="b", epochs=50)
         assert result.n_classes == 32
@@ -209,8 +208,8 @@ class TestSufficientStatisticProbe:
     def test_untrained_model_far_below_trained(self):
         # untrained-but-injective encoders leak only a little of the
         # deterministic target to a weak linear probe
-        tr = gen_synth5d(4000, 1.0, seed=13)
-        te = gen_synth5d(2000, 1.0, seed=14)
+        tr = gen_synth(4000, 1.0, seed=13)
+        te = gen_synth(2000, 1.0, seed=14)
         params = init_params({"a": 5, "b": 5, "c": 5}, 16, seed=15)
         result = sufficient_statistic_probe(params, tr, te, target="b", epochs=50)
         assert result.accuracy < 0.25
@@ -222,7 +221,7 @@ class TestSufficientStatisticProbe:
         from symile.train import TrainConfig, train
 
         spec = SplitSpec(4000, 500, 1500)
-        ds = gen_synth5d(spec.total, 1.0, seed=20)
+        ds = gen_synth(spec.total, 1.0, seed=20)
         tr, va, te = split(ds, spec)
         out = train(TrainConfig(objective="symile", epochs=25, batch_size=500, seed=0), tr, va)
         result = sufficient_statistic_probe(

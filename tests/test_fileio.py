@@ -6,15 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from symile.data import apply_missingness, gen_synth5d
-from symile.errors import SchemaError
+from symile.data import apply_missingness, gen_synth
 from symile.fileio import (
     canonical_json,
     config_hash,
     fnv1a64,
     format_float,
     provenance_line,
-    read_dataset,
     write_dataset,
 )
 
@@ -43,46 +41,31 @@ class TestFloatFormat:
 
 
 class TestDatasetFile:
-    def test_roundtrip_plain(self, tmp_path):
-        ds = gen_synth5d(50, 0.5, seed=1)
+    def test_roundtrip_plain(self, tmp_path, read_dataset_file):
+        ds = gen_synth(50, 0.5, seed=1)
         path = str(tmp_path / "ds.txt")
         write_dataset(path, ds, seed=1, meta={"seed": 1, "p_hat": 0.5})
-        loaded, header = read_dataset(path)
+        header, blocks = read_dataset_file(path)
         assert header["p_hat"] == 0.5
         for k in "abc":
-            np.testing.assert_array_equal(loaded.modalities[k], ds.modalities[k])
-        np.testing.assert_array_equal(loaded.latents, ds.latents)
+            np.testing.assert_array_equal(blocks[k], ds.modalities[k])
+        np.testing.assert_array_equal(blocks["latents"][:, 0], ds.latents)
 
-    def test_roundtrip_masked(self, tmp_path):
-        ds = apply_missingness(gen_synth5d(40, 1.0, seed=2), 0.5, seed=2)
+    def test_roundtrip_masked(self, tmp_path, read_dataset_file):
+        ds = apply_missingness(gen_synth(40, 1.0, seed=2), 0.5, seed=2)
         path = str(tmp_path / "masked.txt")
         write_dataset(path, ds, seed=2, meta={"seed": 2})
-        loaded, _ = read_dataset(path)
-        for k in "abc":
-            np.testing.assert_array_equal(loaded.masks[k], ds.masks[k])
-            np.testing.assert_array_equal(loaded.modalities[k], ds.modalities[k])
+        _, blocks = read_dataset_file(path)
+        for i, k in enumerate("abc"):
+            np.testing.assert_array_equal(blocks["masks"][:, i].astype(bool), ds.masks[k])
+            np.testing.assert_array_equal(blocks[k], ds.modalities[k])
 
     def test_provenance_header(self, tmp_path):
-        ds = gen_synth5d(5, 0.5, seed=3)
+        ds = gen_synth(5, 0.5, seed=3)
         path = str(tmp_path / "p.txt")
         write_dataset(path, ds, seed=3, meta={"seed": 3})
         first = json.loads(open(path).readline())
         assert first["tool"] == "symile" and first["seed"] == 3
-
-    def test_truncated_rejected(self, tmp_path):
-        ds = gen_synth5d(5, 0.5, seed=4)
-        path = str(tmp_path / "t.txt")
-        write_dataset(path, ds, seed=4, meta={"seed": 4})
-        lines = open(path).read().splitlines()
-        open(path, "w").write("\n".join(lines[:4]))
-        with pytest.raises(SchemaError):
-            read_dataset(path)
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        path = tmp_path / "x.txt"
-        path.write_text('{"tool":"symile"}\n{"kind":"other"}\n')
-        with pytest.raises(SchemaError):
-            read_dataset(str(path))
 
 
 class TestProvenance:

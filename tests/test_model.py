@@ -10,7 +10,6 @@ from symile.errors import DegenerateInputError
 from symile.model import (
     ModelParams,
     _input_states,
-    encode_batch,
     flatten_params,
     init_params,
     loss_and_grads,
@@ -19,6 +18,7 @@ from symile.model import (
 from symile.nn import (
     AffineEncoder,
     compare_gradients,
+    encode,
     finite_diff_grad,
     normalize_rows,
     normalize_rows_backward,
@@ -72,9 +72,10 @@ class TestEncodeBatch:
     def test_normalized_rows(self):
         params = init_params({"a": 4, "b": 4}, d_out=6, seed=1)
         rng = np.random.default_rng(0)
-        reps = encode_batch(params, {"a": rng.random((10, 4)), "b": rng.random((10, 4))})
-        for r in reps.values():
+        for enc in params.encoders.values():
+            r, norms = encode(enc, rng.random((10, 4)))
             np.testing.assert_allclose(np.linalg.norm(r, axis=1), 1.0, atol=1e-9)
+            assert norms.shape == (10, 1)
 
     def test_zero_preactivation_error(self):
         params = ModelParams(
@@ -82,7 +83,7 @@ class TestEncodeBatch:
             np.array([0.0]),
         )
         with pytest.raises(DegenerateInputError):
-            encode_batch(params, {"a": np.ones((3, 2))})
+            encode(params.encoders["a"], np.ones((3, 2)))
 
 
 class TestFullModelGradients:

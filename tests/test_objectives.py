@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from symile import objectives
 from symile.diagnostics import run_gradient_check
 from symile.errors import NonFiniteError
-from symile.nn import softmax_cross_entropy
+from symile.nn import row_softmax_cross_entropy
 from symile.objectives import (
     clip_directional_loss,
     clip_pair_loss,
@@ -28,6 +28,14 @@ from symile.objectives import (
     symile_loss,
     symile_loss_grads,
 )
+
+
+def softmax_cross_entropy(logits, target):
+    """(loss, gradient) of one row through row_softmax_cross_entropy."""
+    losses, grads = row_softmax_cross_entropy(
+        np.asarray(logits, dtype=np.float64)[None], np.array([target])
+    )
+    return float(losses[0]), grads[0]
 
 
 def rand_reps(rng, names, n, d, unit=True):

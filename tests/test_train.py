@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from symile.data import SplitSpec, gen_xor1d, gen_synth5d, split
+from symile.data import SplitSpec, gen_xor1d, gen_synth, split
 from symile.errors import SchemaError
 from symile.train import (
     Checkpoint,
@@ -33,7 +33,7 @@ def tiny_config(**overrides):
 
 
 def tiny_splits(seed=0, p_hat=1.0, n=256):
-    ds = gen_synth5d(n, p_hat, seed=seed)
+    ds = gen_synth(n, p_hat, seed=seed)
     return split(ds, SplitSpec(128, 64, 64))
 
 
@@ -166,7 +166,23 @@ class TestCheckpointIO:
                 result.checkpoint.params.encoders[name].W,
             )
         np.testing.assert_array_equal(
-            loaded.optimizer.m[0], result.checkpoint.optimizer.m[0]
+            loaded.params.log_scale, result.checkpoint.params.log_scale
+        )
+
+    def test_parameters_only(self, tmp_path):
+        tr, va, _ = tiny_splits()
+        result = train(tiny_config(epochs=1), tr, va)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), result.checkpoint)
+        provenance, body = path.read_text().splitlines()
+        doc = json.loads(body)
+        assert "optimizer" not in doc
+        # a file written with the optimizer block that nothing read still loads
+        doc["optimizer"] = {"step": 1, "m": [], "v": []}
+        path.write_text(provenance + "\n" + json.dumps(doc) + "\n")
+        loaded = load_checkpoint(str(path))
+        np.testing.assert_array_equal(
+            loaded.params.encoders["a"].W, result.checkpoint.params.encoders["a"].W
         )
 
     def test_provenance_first_line(self, tmp_path):
