@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from . import fileio
-from .data import apply_missingness, gen_synth, gen_xor1d
+from .data import Dataset, apply_missingness, gen_synth, gen_xor1d
 from .diagnostics import (
     bound_tightness_report,
     calibration_example,
@@ -78,12 +78,16 @@ def _run_config(path: str | None) -> tuple[dict[str, Any], TrainConfig]:
     return doc, TrainConfig(**{k: v for k, v in doc.items() if k not in _DATASET_KEYS})
 
 
+def _gen_dataset(name: str, n: int, p_hat: float, seed: int, i_mode: str) -> Dataset:
+    """``n`` rows of the named dataset; xor1d ignores ``p_hat`` and ``i_mode``."""
+    if name == "xor1d":
+        return gen_xor1d(n, seed)
+    return gen_synth(n, p_hat, seed, i_mode, 5)
+
+
 def _make_splits(doc: dict[str, Any], cfg: TrainConfig):
     data_seed = derive_seed(cfg.seed, "cli-data")
-    if doc["dataset"] == "xor1d":
-        dataset = gen_xor1d(cfg.split.total, data_seed)
-    else:
-        dataset = gen_synth(cfg.split.total, doc["p_hat"], data_seed, doc["i_mode"], 5)
+    dataset = _gen_dataset(doc["dataset"], cfg.split.total, doc["p_hat"], data_seed, doc["i_mode"])
     return split_for_training(dataset, cfg)
 
 
@@ -93,10 +97,10 @@ def _make_splits(doc: dict[str, Any], cfg: TrainConfig):
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.dataset == "xor1d":
-        dataset = gen_xor1d(args.n, args.seed)
-    else:
-        dataset = gen_synth(args.n, args.p_hat, args.seed, args.i_mode, 5)
+    # checked for every dataset, so NaN is refused too (xor1d only records p_hat)
+    if not (0.0 <= args.p_hat <= 1.0 and 0.0 <= args.missing_p < 1.0):
+        raise SchemaError("p_hat must lie in [0, 1] and missing_p in [0, 1)")
+    dataset = _gen_dataset(args.dataset, args.n, args.p_hat, args.seed, args.i_mode)
     if args.missing_p > 0.0:
         dataset = apply_missingness(dataset, args.missing_p, derive_seed(args.seed, "mask"))
     meta = {

@@ -45,6 +45,9 @@ from .rng import derive_seed, substream
 # Tabular scorer recovery
 # ---------------------------------------------------------------------------
 
+# Contrastive batches drawn per optimizer step of scorer recovery.
+_BATCHES_PER_STEP = 512
+
 
 @dataclass
 class ScorerRecoveryReport:
@@ -71,29 +74,24 @@ def recover_optimal_scorer(
     steps: int,
     lr: float,
     seed: int,
-    groups: tuple[tuple[str, ...], ...] | None = None,
-    batches_per_step: int = 512,
-    anchor: int = 0,
     warm_start: bool = False,
 ) -> tuple[TabularScorer, ScorerRecoveryReport]:
     """Fit a free score per joint state by stochastic gradient on the
-    multi-sample contrastive objective, on batches of the bound's own
-    sampler (``oracle.contrastive_sampler``).
+    multi-sample contrastive objective, on ``_BATCHES_PER_STEP`` batches
+    per step of the bound's own sampler (``oracle.contrastive_sampler``),
+    with one group per variable and the first anchoring.
 
     The learned scores on the final 25% of steps are tail-averaged to
     damp optimizer jitter before comparison with the exact log ratio.
     With ``warm_start`` the scores start at the exact log ratio (zero on
     the off-support states), which should already be optimal up to jitter.
     """
-    if min(n, steps, batches_per_step) < 1:
-        raise ValueError(
-            f"n, steps and batches_per_step must be >= 1, got {n}, {steps}, {batches_per_step}"
-        )
-    if groups is None:
-        groups = tuple((name,) for name in table.var_names)
+    if min(n, steps) < 1:
+        raise ValueError(f"n and steps must be >= 1, got {n}, {steps}")
+    groups = tuple((name,) for name in table.var_names)
     reference = optimal_scorer(table, groups)
     rng = substream(seed, "scorer-recovery")
-    draw = contrastive_sampler(table, groups, anchor)
+    draw = contrastive_sampler(table, groups, 0)
 
     g_scores = np.zeros(table.n_states)
     if warm_start:
@@ -106,18 +104,18 @@ def recover_optimal_scorer(
     tail_sum = np.zeros_like(g_scores)
     tail_count = 0
     for step in range(steps):
-        pos, neg = draw(rng, batches_per_step, n)
+        pos, neg = draw(rng, _BATCHES_PER_STEP, n)
         tuple_idx = np.column_stack([pos, neg])
         logits = g_scores[tuple_idx]
         losses, grad_logits = row_softmax_cross_entropy(
-            logits, np.zeros(batches_per_step, dtype=np.int64)
+            logits, np.zeros(_BATCHES_PER_STEP, dtype=np.int64)
         )
         loss = float(losses.mean())
         if initial_loss is None:
             initial_loss = loss
         final_loss = loss
         grad = np.zeros_like(g_scores)
-        np.add.at(grad, tuple_idx.reshape(-1), grad_logits.reshape(-1) / batches_per_step)
+        np.add.at(grad, tuple_idx.reshape(-1), grad_logits.reshape(-1) / _BATCHES_PER_STEP)
         (g_scores,), opt = adamw_step(opt, [g_scores], [grad])
         if step >= tail_start:
             tail_sum += g_scores
@@ -155,13 +153,12 @@ def bound_tightness_report(
     n_list: list[int],
     mc_samples: int,
     seed: int,
-    groups: tuple[tuple[str, ...], ...] | None = None,
 ) -> list[BoundRow]:
-    """Bound estimates with the optimal scorer at each batch size."""
+    """Bound estimates with the optimal scorer at each batch size, one
+    group per variable."""
     if not n_list:
         raise ValueError("n_list must be nonempty")
-    if groups is None:
-        groups = tuple((name,) for name in table.var_names)
+    groups = tuple((name,) for name in table.var_names)
     scorer = optimal_scorer(table, groups)
     tc = total_correlation(table, groups)
     rows = []
@@ -202,7 +199,6 @@ def _random_case(rng: np.random.Generator, case: int) -> dict:
         "normalize": normalize,
         "objective": objective,
         "strategy": strategy,
-        "per_pair": objective == "pairwise_clip" and m == 3 and case % 4 == 3,
     }
 
 
@@ -232,7 +228,6 @@ def run_gradient_check(
             seed=int(rng.integers(1 << 31)),
             normalize=spec["normalize"],
             t_init=float(rng.uniform(-0.5, 0.5)),
-            per_pair_temperature=spec["per_pair"],
         )
         perms = None
         if spec["objective"] == "symile" and spec["strategy"] == "on":
@@ -244,7 +239,7 @@ def run_gradient_check(
         _, _, analytic = loss_and_grads(
             params, inputs, spec["objective"], spec["strategy"], perms=perms
         )
-        arrays, _, _ = flatten_params(params)
+        arrays, _ = flatten_params(params)
 
         def loss_fn(arrs, _params=params, _inputs=inputs, _spec=spec, _perms=perms):
             p = unflatten_params(_params, arrs)

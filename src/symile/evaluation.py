@@ -40,11 +40,10 @@ def encode_modality(params: ModelParams, name: str, values: np.ndarray) -> np.nd
 
 @dataclass
 class RetrievalResult:
-    """Per-query predicted/true candidate indices and full score matrix."""
+    """Per-query predicted and true candidate indices."""
 
     predicted: np.ndarray  # (Q,)
     true: np.ndarray  # (Q,)
-    scores: np.ndarray  # (Q, K)
 
     @property
     def accuracy(self) -> float:
@@ -61,6 +60,17 @@ def binary_vector_index(vectors: np.ndarray) -> np.ndarray:
     """Inverse of ``all_binary_vectors`` row indexing."""
     d = vectors.shape[1]
     return (vectors.astype(np.int64) << np.arange(d)).sum(axis=1)
+
+
+def _query_product(params: ModelParams, queries: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Element-wise product of the encoded query modalities, in order."""
+    if not queries:
+        raise ValueError("need at least one query modality")
+    encoded = [encode_modality(params, m, values) for m, values in queries.items()]
+    prod = encoded[0].copy()
+    for r in encoded[1:]:
+        prod *= r
+    return prod
 
 
 def candidate_scores(
@@ -84,13 +94,9 @@ def candidate_scores(
     if len(candidates) < 1:
         raise ValueError("need at least one candidate")
     r_cands = encode_modality(params, target, candidates)
-    encoded = [encode_modality(params, m, values) for m, values in queries.items()]
     if scorer == "symile":
-        prod = encoded[0].copy()
-        for r in encoded[1:]:
-            prod *= r
-        return prod @ r_cands.T
-    return sum(r @ r_cands.T for r in encoded)
+        return _query_product(params, queries) @ r_cands.T
+    return sum(encode_modality(params, m, values) @ r_cands.T for m, values in queries.items())
 
 
 def classify_target(
@@ -106,7 +112,7 @@ def classify_target(
     scores = candidate_scores(params, scorer, queries, target, candidates)
     predicted = np.argmax(scores, axis=1)  # ties -> lowest index
     true = binary_vector_index(dataset.modalities[target])
-    return RetrievalResult(predicted, true, scores)
+    return RetrievalResult(predicted, true)
 
 
 @dataclass
@@ -115,8 +121,6 @@ class BootstrapReport:
 
     mean_accuracy: float
     std_error: float
-    n_resamples: int
-    seed: int
 
 
 def bootstrap_accuracy(result: RetrievalResult, b: int, seed: int) -> BootstrapReport:
@@ -130,7 +134,7 @@ def bootstrap_accuracy(result: RetrievalResult, b: int, seed: int) -> BootstrapR
     rng = substream(seed, "bootstrap")
     accs = correct[rng.integers(0, q, size=(b, q))].mean(axis=1)
     se = float(accs.std(ddof=1)) if b > 1 else 0.0
-    return BootstrapReport(float(accs.mean()), se, b, seed)
+    return BootstrapReport(float(accs.mean()), se)
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +198,7 @@ def product_features(
     params: ModelParams, dataset: Dataset, target: str
 ) -> np.ndarray:
     """Element-wise product of the non-target modalities' representations."""
-    prod = None
-    for name in dataset.names:
-        if name == target:
-            continue
-        r = encode_modality(params, name, dataset.modalities[name])
-        prod = r if prod is None else prod * r
-    if prod is None:
-        raise ValueError("dataset has no non-target modality")
-    return prod
+    return _query_product(params, {m: x for m, x in dataset.modalities.items() if m != target})
 
 
 def sufficient_statistic_probe(

@@ -31,8 +31,9 @@ def fnv1a64(data: bytes) -> int:
 
 
 def canonical_json(obj: Any) -> str:
-    """Sorted-key, minimal-whitespace serialization used for hashing."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Sorted-key, minimal-whitespace serialization used for hashing; a
+    non-finite float raises ValueError, as JSON has no literal for it."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def config_hash(config: Mapping[str, Any]) -> str:

@@ -4,7 +4,7 @@ contrastive objective, with hand-derived gradients for every parameter.
 The parameter layout is fixed so the optimizer and the finite-difference
 checker can treat the model as a flat list of arrays:
 ``[W_m1, b_m1, W_m2, b_m2, ..., log_scale]`` in modality order, with the
-log-scale (temperature) vector last and exempt from weight decay.
+one-entry log-scale (temperature) array last and exempt from weight decay.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .nn import AffineEncoder, encode, normalize_rows_backward
-from .objectives import (
-    modality_pairs,
-    pairwise_clip_loss_grads,
-    symile_loss_grads,
-)
+from .objectives import pairwise_clip_loss_grads, symile_loss_grads
 from .rng import substream
 
 OBJECTIVES = ("symile", "pairwise_clip")
@@ -27,11 +23,10 @@ OBJECTIVES = ("symile", "pairwise_clip")
 
 @dataclass
 class ModelParams:
-    """One affine encoder per modality plus trainable log-scale(s).
+    """One affine encoder per modality plus the trainable log-scale.
 
-    The score multiplier is ``exp(log_scale)``, guaranteeing positivity.
-    ``log_scale`` has one entry when shared, or one per modality pair for
-    the pairwise objective with per-pair temperatures.
+    The score multiplier is ``exp(log_scale)``, guaranteeing positivity;
+    ``log_scale`` is a one-entry array, one temperature for every term.
     """
 
     encoders: dict[str, AffineEncoder]
@@ -42,18 +37,15 @@ class ModelParams:
         d_outs = {e.d_out for e in self.encoders.values()}
         if len(d_outs) != 1:
             raise ValueError(f"encoders disagree on output dim: {d_outs}")
-        n_pairs = len(modality_pairs(list(self.encoders)))
-        if self.log_scale.size not in (1, n_pairs):
-            raise ValueError(
-                f"log_scale must have 1 or {n_pairs} entries, got {self.log_scale.size}"
-            )
+        if self.log_scale.shape != (1,):
+            raise ValueError(f"log_scale must have 1 entry, got shape {self.log_scale.shape}")
 
     @property
     def names(self) -> list[str]:
         return list(self.encoders)
 
-    def scales(self) -> np.ndarray:
-        return np.exp(self.log_scale)
+    def scale(self) -> float:
+        return float(np.exp(self.log_scale)[0])
 
 
 def init_params(
@@ -62,7 +54,6 @@ def init_params(
     seed: int,
     normalize: bool = True,
     t_init: float = -0.3,
-    per_pair_temperature: bool = False,
     dtype: np.dtype = np.float64,
 ) -> ModelParams:
     """Seeded initialization: W and b entries iid uniform on +-1/sqrt(d_in).
@@ -78,23 +69,19 @@ def init_params(
         w = rng.uniform(-bound, bound, size=(d_out, d_in)).astype(dtype)
         b = rng.uniform(-bound, bound, size=d_out).astype(dtype)
         encoders[name] = AffineEncoder(w, b, normalize)
-    n_scales = len(modality_pairs(list(input_dims))) if per_pair_temperature else 1
-    return ModelParams(encoders, np.full(n_scales, t_init, dtype=np.float64))
+    return ModelParams(encoders, np.full(1, t_init, dtype=np.float64))
 
 
-def flatten_params(params: ModelParams) -> tuple[list[np.ndarray], list[bool], list[str]]:
-    """(arrays, weight-decay flags, labels) in the fixed layout."""
+def flatten_params(params: ModelParams) -> tuple[list[np.ndarray], list[bool]]:
+    """(arrays, weight-decay flags) in the fixed layout."""
     arrays: list[np.ndarray] = []
     decay: list[bool] = []
-    labels: list[str] = []
-    for name, enc in params.encoders.items():
+    for enc in params.encoders.values():
         arrays.extend([enc.W, enc.b])
         decay.extend([True, True])
-        labels.extend([f"W[{name}]", f"b[{name}]"])
     arrays.append(params.log_scale)
     decay.append(False)
-    labels.append("log_scale")
-    return arrays, decay, labels
+    return arrays, decay
 
 
 def unflatten_params(template: ModelParams, arrays: Sequence[np.ndarray]) -> ModelParams:
@@ -147,18 +134,13 @@ def loss_and_grads(
         distinct[name] = inputs[name][first]
         reps[name], norms[name] = encode(params.encoders[name], distinct[name])
 
-    scales = params.scales()
+    scale = params.scale()
     if objective == "symile":
-        if scales.size != 1:
-            raise ValueError("the anchor-averaged objective uses a single scale")
         loss, breakdown, d_reps, d_scale = symile_loss_grads(
-            reps, float(scales[0]), strategy, seed=seed, perms=perms, rows=rows
+            reps, scale, strategy, seed=seed, perms=perms, rows=rows
         )
-        d_scales = np.array([d_scale])
     else:
-        loss, d_reps, d_scales = pairwise_clip_loss_grads(
-            reps, scales if scales.size > 1 else float(scales[0]), rows=rows
-        )
+        loss, d_reps, d_scale = pairwise_clip_loss_grads(reps, scale, rows=rows)
         breakdown = {"pairwise_clip": loss}
 
     grads: list[np.ndarray] = []
@@ -166,8 +148,5 @@ def loss_and_grads(
         d_r = d_reps[name]
         d_z = d_r if norms[name] is None else normalize_rows_backward(reps[name], norms[name], d_r)
         grads.extend([d_z.T @ distinct[name], d_z.sum(axis=0)])
-    if scales.size == d_scales.size:
-        grads.append(d_scales * scales)  # d loss / d log_scale
-    else:
-        raise AssertionError("scale gradient shape mismatch")
+    grads.append(np.array([d_scale * scale]))  # d loss / d log_scale
     return loss, breakdown, grads

@@ -72,19 +72,15 @@ def encode(encoder: AffineEncoder, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def row_softmax_cross_entropy(
-    logits: np.ndarray, targets: np.ndarray, overwrite: bool = False
+    logits: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-row CE and gradient for a (N, K) logit matrix.
-
-    With ``overwrite`` the input buffer is consumed for the gradient,
-    avoiding a temporary the size of the logits.
-    """
+    """Vectorized per-row CE and gradient for a (N, K) logit matrix."""
     if not np.all(np.isfinite(logits)):
         raise NonFiniteError("logits must be finite")
     rows = np.arange(logits.shape[0])
     maxes = logits.max(axis=1, keepdims=True)
     target_shifted = logits[rows, targets] - maxes[:, 0]
-    p = np.subtract(logits, maxes, out=logits if overwrite else None)
+    p = logits - maxes
     np.exp(p, out=p)
     sums = p.sum(axis=1, keepdims=True)
     losses = np.log(sums[:, 0]) - target_shifted
@@ -98,6 +94,10 @@ def row_softmax_cross_entropy(
 # ---------------------------------------------------------------------------
 
 
+# Adam's moment decay rates and the denominator's additive guard.
+_ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adam moments plus hyperparameters, one slot per parameter array.
@@ -108,9 +108,6 @@ class OptimizerState:
 
     lr: float
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -122,9 +119,6 @@ def init_optimizer(
     lr: float,
     weight_decay: float = 0.0,
     decay: Sequence[bool] | None = None,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> OptimizerState:
     if lr <= 0.0:
         raise ValueError(f"lr must be positive, got {lr}")
@@ -134,9 +128,6 @@ def init_optimizer(
     return OptimizerState(
         lr=lr,
         weight_decay=weight_decay,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
         m=[np.zeros_like(p) for p in params],
         v=[np.zeros_like(p) for p in params],
         decay=flags,
@@ -159,15 +150,15 @@ def adamw_step(
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
     step = state.step + 1
-    bias1 = 1.0 - state.beta1**step
-    bias2 = 1.0 - state.beta2**step
+    bias1 = 1.0 - _ADAM_B1**step
+    bias2 = 1.0 - _ADAM_B2**step
     new_params: list[np.ndarray] = []
     new_m: list[np.ndarray] = []
     new_v: list[np.ndarray] = []
     for p, g, m, v, decayed in zip(params, grads, state.m, state.v, state.decay):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        update = (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m = _ADAM_B1 * m + (1.0 - _ADAM_B1) * g
+        v = _ADAM_B2 * v + (1.0 - _ADAM_B2) * (g * g)
+        update = (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
         if decayed and state.weight_decay != 0.0:
             update = update + state.weight_decay * p
         new_params.append(p - state.lr * update)
@@ -235,7 +226,6 @@ class GradCheckReport:
 def compare_gradients(
     analytic: Sequence[np.ndarray],
     numeric: Sequence[np.ndarray],
-    labels: Sequence[str] | None = None,
     tolerance: float = 1e-4,
 ) -> GradCheckReport:
     """Relative error |a - n| / (max(|a|, |n|) + _GRAD_ABS_FLOOR / tolerance).
@@ -244,11 +234,10 @@ def compare_gradients(
     |a - n| < tolerance * max(|a|, |n|) + _GRAD_ABS_FLOOR, so large
     gradients are judged relatively and near-zero ones absolutely.
     """
-    if labels is None:
-        labels = [f"param{i}" for i in range(len(analytic))]
     floor = _GRAD_ABS_FLOOR / tolerance
     errors = []
     for a, n in zip(analytic, numeric, strict=True):
         denom = np.maximum(np.abs(a), np.abs(n)) + floor
         errors.append(float(np.max(np.abs(a - n) / denom)) if a.size else 0.0)
-    return GradCheckReport(tuple(labels), tuple(errors), tolerance)
+    labels = tuple(f"param{i}" for i in range(len(errors)))
+    return GradCheckReport(labels, tuple(errors), tolerance)

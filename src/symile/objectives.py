@@ -328,7 +328,7 @@ def modality_pairs(names: Sequence[str]) -> list[tuple[str, str]]:
     return list(itertools.combinations(names, 2))
 
 
-def pairwise_clip_loss(reps: Mapping[str, np.ndarray], scale: float | Sequence[float]) -> float:
+def pairwise_clip_loss(reps: Mapping[str, np.ndarray], scale: float) -> float:
     """Sum of the two-modality loss over all unordered modality pairs."""
     loss, _, _ = pairwise_clip_loss_grads(reps, scale)
     return loss
@@ -336,38 +336,28 @@ def pairwise_clip_loss(reps: Mapping[str, np.ndarray], scale: float | Sequence[f
 
 def pairwise_clip_loss_grads(
     reps: Mapping[str, np.ndarray],
-    scale: float | Sequence[float],
+    scale: float,
     rows: Rows | None = None,
-) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """(loss, d_reps, d_scales) for the pairwise sum.
-
-    ``scale`` is either one shared value or one value per pair (pairs in
-    ``modality_pairs`` order); ``d_scales`` matches that shape.
-    """
+) -> tuple[float, dict[str, np.ndarray], float]:
+    """(loss, d_reps, d_scale) for the pairwise sum, every pair at ``scale``."""
     names = list(reps)
     if len(names) < 2:
         raise ValueError("need at least two modalities")
-    pairs = modality_pairs(names)
-    scales = np.asarray(scale, dtype=np.float64).reshape(-1)
-    if scales.size not in (1, len(pairs)):
-        raise ValueError(f"expected 1 or {len(pairs)} scales, got {scales.size}")
     rows = _state_rows(reps, rows)
     identity = [np.arange(rows[names[0]].size)]
 
-    total = 0.0
+    total, d_scale = 0.0, 0.0
     d_reps = {m: np.zeros_like(reps[m]) for m in names}
-    d_scales = np.zeros_like(scales)
-    for i, (x, y) in enumerate(pairs):
-        idx = i % scales.size  # the shared scale, or the pair's own
+    for x, y in modality_pairs(names):
         for a, b in ((x, y), (y, x)):  # the mean of the two anchored terms
             loss, d_a, (d_b,), ds = _anchored_on_loss(
-                reps[a], [reps[b]], rows[a], [rows[b]], identity, float(scales[idx])
+                reps[a], [reps[b]], rows[a], [rows[b]], identity, scale
             )
             total += 0.5 * loss
             d_reps[a] += 0.5 * d_a
             d_reps[b] += 0.5 * d_b
-            d_scales[idx] += 0.5 * ds
-    return total, d_reps, d_scales
+            d_scale += 0.5 * ds
+    return total, d_reps, d_scale
 
 
 def draw_anchor_perms(seed: int, names: Sequence[str], anchor: str, n: int) -> list[np.ndarray]:

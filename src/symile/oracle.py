@@ -302,7 +302,7 @@ class TabularScorer:
     """
 
     scores: np.ndarray
-    groups: tuple[tuple[str, ...], ...] | None = None
+    groups: tuple[tuple[str, ...], ...]  # the variable groups bound_value draws over
 
     def __post_init__(self) -> None:
         scores = np.asarray(self.scores, dtype=np.float64).reshape(-1).copy()
@@ -310,10 +310,7 @@ class TabularScorer:
             raise ValueError("scores must be finite or -inf")
         scores.flags.writeable = False
         object.__setattr__(self, "scores", scores)
-        if self.groups is not None:
-            object.__setattr__(
-                self, "groups", tuple(tuple(g) for g in self.groups)
-            )
+        object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
 
 
 def optimal_scorer(table: JointTable, groups: Sequence[Sequence[str]]) -> TabularScorer:
@@ -392,9 +389,9 @@ def bound_value(
     mc_samples: int,
     seed: int,
     anchor: int = 0,
-    groups: Sequence[Sequence[str]] | None = None,
 ) -> tuple[float, float]:
-    """Monte-Carlo estimate of the multi-sample contrastive lower bound.
+    """Monte-Carlo estimate of the multi-sample contrastive lower bound
+    over the scorer's groups.
 
     Each sample is one batch of ``contrastive_sampler``: a positive tuple
     from the joint and ``n - 1`` negatives.  The estimate is ``log n``
@@ -405,11 +402,7 @@ def bound_value(
         raise ValueError(f"batch size must be >= 1, got {n}")
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
-    if groups is None:
-        groups = scorer.groups
-    if groups is None:
-        raise ValueError("scorer carries no groups; pass groups explicitly")
-    groups = [_check_subset(table, g, "group") for g in groups]
+    groups = [_check_subset(table, g, "group") for g in scorer.groups]
     if not 0 <= anchor < len(groups):
         raise ValueError(f"anchor index {anchor} out of range")
 

@@ -8,7 +8,6 @@ epoch and the one with the lowest validation loss is returned.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import numbers
@@ -41,6 +40,15 @@ def _is_kind(value: Any, kind: type) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
+def _check_kinds(obj: Any) -> None:
+    """SchemaError unless each field of dataclass ``obj`` annotated with a
+    key of _FIELD_KINDS holds a value of that kind."""
+    for f in fields(obj):
+        kind, value = _FIELD_KINDS.get(f.type), getattr(obj, f.name)
+        if kind is not None and not _is_kind(value, kind):
+            raise SchemaError(f"{f.name} must be of type {f.type}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters of one training run (defaults: the 5-dim benchmark)."""
@@ -57,14 +65,10 @@ class TrainConfig:
     seed: int = 0
     split: SplitSpec = field(default_factory=SplitSpec)
     p_missing: float = 0.0
-    per_pair_temperature: bool = False
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            kind, value = _FIELD_KINDS.get(f.type), getattr(self, f.name)
-            if kind is not None and not _is_kind(value, kind):
-                raise SchemaError(f"{f.name} must be of type {f.type}, got {value!r}")
+        _check_kinds(self)
         if isinstance(self.split, dict):
             unknown = set(self.split) - {f.name for f in fields(SplitSpec)}
             if unknown:
@@ -121,7 +125,6 @@ class Checkpoint:
 class TrainResult:
     checkpoint: Checkpoint
     history: list[dict[str, float]]  # per-epoch train/val losses
-    final_params: ModelParams
 
 
 def split_for_training(
@@ -184,10 +187,9 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainResult:
         cfg.seed,
         normalize=cfg.normalize,
         t_init=cfg.t_init,
-        per_pair_temperature=cfg.per_pair_temperature and cfg.objective == "pairwise_clip",
         dtype=dtype,
     )
-    arrays, decay, _ = flatten_params(params)
+    arrays, decay = flatten_params(params)
     opt = init_optimizer(arrays, cfg.lr, cfg.weight_decay, decay)
 
     cfg_hash = cfg.hash()
@@ -239,16 +241,18 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainResult:
                 "val_loss": val_loss,
             }
         )
+        # Each step builds fresh arrays and a fresh ModelParams, so later
+        # epochs never write into the parameters a checkpoint holds.
         if best is None or val_loss < best.val_loss:
             best = Checkpoint(
-                params=copy.deepcopy(params),
+                params=params,
                 epoch=epoch,
                 val_loss=val_loss,
                 config_hash=cfg_hash,
                 seed=cfg.seed,
             )
     assert best is not None
-    return TrainResult(checkpoint=best, history=history, final_params=params)
+    return TrainResult(checkpoint=best, history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -279,25 +283,30 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         f.write(fileio.canonical_json(doc) + "\n")
 
 
+def _float_array(obj: Any) -> np.ndarray:
+    if not isinstance(obj, dict) or obj.get("dtype") not in ("float32", "float64"):
+        raise SchemaError("arrays must be float32 or float64")
+    return fileio.array_from_json(obj)
+
+
 def load_checkpoint(path: str) -> Checkpoint:
+    """The checkpoint in ``path``; SchemaError for any second line that is
+    not a checkpoint object with the expected keys, types and shapes."""
     with open(path) as f:
         f.readline()  # provenance
-        doc = json.loads(f.readline())
-    if doc.get("kind") != "checkpoint":
-        raise SchemaError(f"{path} is not a checkpoint file")
-    encoders = {
-        name: AffineEncoder(
-            fileio.array_from_json(spec["W"]),
-            fileio.array_from_json(spec["b"]),
-            spec["normalize"],
-        )
-        for name, spec in doc["encoders"].items()
-    }
-    params = ModelParams(encoders, fileio.array_from_json(doc["log_scale"]))
-    return Checkpoint(
-        params=params,
-        epoch=doc["epoch"],
-        val_loss=doc["val_loss"],
-        config_hash=doc["config_hash"],
-        seed=doc["seed"],
-    )
+        line = f.readline()
+    try:
+        doc = json.loads(line)
+        if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
+            raise SchemaError("the second line is not a checkpoint object")
+        encoders = {
+            name: AffineEncoder(_float_array(spec["W"]), _float_array(spec["b"]), spec["normalize"])
+            for name, spec in doc["encoders"].items()
+        }
+        params = ModelParams(encoders, _float_array(doc["log_scale"]))
+        ckpt = Checkpoint(params, doc["epoch"], doc["val_loss"], doc["config_hash"], doc["seed"])
+        for obj in (ckpt, *encoders.values()):
+            _check_kinds(obj)
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path} is not a checkpoint: {type(exc).__name__}: {exc}") from None
+    return ckpt

@@ -81,6 +81,14 @@ class TestGen:
             main(["gen", "--dataset", "bogus", "--n", "10", "--out", "x"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("dataset", ["xor1d", "synth5d"])
+    def test_nan_p_hat_exit_2_without_file(self, tmp_path, capsys, dataset):
+        out = tmp_path / "x"
+        code = main(["gen", "--dataset", dataset, "--n", "10", "--p-hat", "nan", "--out", str(out)])
+        assert code == 2
+        assert "p_hat" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainEvalProbe:
     def test_train_eval_probe_pipeline(self, tmp_path, tiny_config_path, capsys):
@@ -106,6 +114,27 @@ class TestTrainEvalProbe:
                      "--out", probe_out]) == 0
         assert read_lines(probe_out)[1] == "target,n_classes,probe_accuracy"
 
+    @pytest.mark.parametrize("command", ["eval", "probe"])
+    @pytest.mark.parametrize("body", [
+        pytest.param("[1, 2]", id="not-an-object"),
+        pytest.param('{"kind":"checkpoint","encoders":{"a":{"W":1}}}', id="number-as-array"),
+        pytest.param('{"kind":"checkpoint","encoders":[]}', id="encoders-not-an-object"),
+        pytest.param(
+            '{"kind":"checkpoint","config_hash":"0","seed":0,"epoch":0,"val_loss":1.0,'
+            '"log_scale":{"shape":[1],"dtype":"float64","data":[0.0]},"encoders":{"a":{'
+            '"normalize":true,"W":{"shape":[2,5],"dtype":"float64","data":[0.5,0.5,0.5,0.5,'
+            '0.5,0.5,0.5,0.5,0.5,0.5]},"b":{"shape":[3],"dtype":"float64","data":[0,0,0]}}}}',
+            id="shapes-disagree",
+        ),
+    ])
+    def test_malformed_checkpoint_exit_2(self, tmp_path, tiny_config_path, capsys, command, body):
+        path = tmp_path / "checkpoint.json"
+        path.write_text('{"seed":0}\n' + body + "\n")
+        code = main([command, "--config", tiny_config_path, "--checkpoint", str(path),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "is not a checkpoint" in capsys.readouterr().err
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -114,6 +143,12 @@ class TestTrainEvalProbe:
         path.write_text(json.dumps({**TINY_CONFIG, "mystery": 1}))
         assert main(["train", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "mystery" in capsys.readouterr().err
+
+    def test_removed_per_pair_temperature_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**TINY_CONFIG, "per_pair_temperature": False}))
+        assert main(["train", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
     def test_divergence_exit_3(self, tmp_path, capsys):
         import warnings

@@ -5,7 +5,9 @@ Each example is a valid invocation with up to two option values, and up
 to two config fields, replaced by invalid ones.  Every size is bounded
 (epochs <= 2, split counts <= 64, --jobs <= 2, grids of at most 3
 points, --steps <= 5, --mc-samples <= 1000), so no example starts a long
-run or many threads.
+run or many threads.  A second property feeds ``eval`` and ``probe``
+checkpoint files: a trained one with up to two of its fields deleted,
+retyped or reshaped, or a second line that is not an object at all.
 """
 
 import contextlib
@@ -57,7 +59,6 @@ CONFIG = _with_faults(
             "normalize": st.booleans(),
             "seed": _pick(0, 1, 2**40),
             "p_missing": _pick(0.0, 0.3),
-            "per_pair_temperature": st.booleans(),
             "dtype": _pick("float32", "float64"),
             "out_dir": st.just("OUT_DIR"),  # replaced by a path under the example's directory
         },
@@ -140,6 +141,7 @@ def checkpoints(tmp_path_factory):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["train", "--config", str(config), "--out-dir", str(root / dataset)]) == 0
         paths[dataset] = str(root / dataset / "checkpoint.json")
+        paths[f"{dataset}-config"] = str(config)
     return paths
 
 
@@ -202,3 +204,74 @@ def test_exit_codes(tmp_path, checkpoints, command, config):
             assert code == 2, (argv, config, err)  # the sweep is synthetic only
         if code == 2:
             assert not os.path.exists(out_dir), (argv, config, err)  # refused before writing
+
+
+# Where a checkpoint document can be damaged: top-level fields, encoder
+# entries, and the shape, dtype and data of its arrays.
+CHECKPOINT_PATHS = [
+    ("kind",), ("seed",), ("epoch",), ("val_loss",), ("config_hash",), ("encoders",),
+    ("log_scale",), ("log_scale", "shape"), ("log_scale", "dtype"), ("log_scale", "data"),
+    ("encoders", "a"), ("encoders", "b", "normalize"), ("encoders", "c", "W"),
+    ("encoders", "a", "W", "shape"), ("encoders", "b", "W", "data"),
+    ("encoders", "c", "b", "shape"), ("encoders", "a", "b", "dtype"),
+    ("encoders", "b", "b", "data"),
+]
+WRONG_VALUES = [None, True, -1, 1.5, NAN, 1e308, "x", "float16", [], {}, [2, 3], [4, 5],
+                [[0.5]], ["x"], {"a": 1}]
+CHECKPOINT_FAULTS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(CHECKPOINT_PATHS), st.just("delete"), st.none()),
+        st.tuples(st.sampled_from(CHECKPOINT_PATHS), st.just("set"), st.sampled_from(WRONG_VALUES)),
+        st.tuples(st.sampled_from(CHECKPOINT_PATHS), st.just("truncate"), st.integers(1, 3)),
+    ),
+    max_size=2,
+)
+NON_OBJECT_LINES = ["", "[1, 2]", "1", '"checkpoint"', "null", "{", "[" * 5000 + "]" * 5000]
+
+
+def _damage(doc: dict, path: tuple, op: str, value) -> None:
+    """Apply one fault in place; a path the document no longer has is skipped."""
+    *parents, key = path
+    for p in parents:
+        if not isinstance(doc, dict) or not isinstance(doc.get(p), (dict, list)):
+            return
+        doc = doc[p]
+    if not isinstance(doc, dict) or key not in doc:
+        return
+    if op == "delete":
+        del doc[key]
+    elif op == "set":
+        doc[key] = value
+    elif isinstance(doc[key], list):  # truncate: drop entries, so the shapes disagree
+        doc[key] = doc[key][:-value]
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    command=_pick("eval", "probe"),
+    dataset=_pick("synth5d", "xor1d"),
+    faults=CHECKPOINT_FAULTS,
+    line=st.one_of(st.none(), st.sampled_from(NON_OBJECT_LINES)),
+)
+@example(command="eval", dataset="synth5d", faults=[], line=None)
+@example(command="probe", dataset="xor1d", faults=[], line=None)
+def test_checkpoint_files(tmp_path, checkpoints, command, dataset, faults, line):
+    with open(checkpoints[dataset]) as f:
+        provenance, body = f.readline(), f.readline()
+    doc = json.loads(body)
+    for fault in faults:
+        _damage(doc, *fault)
+    path = tmp_path / f"checkpoint{next(_examples)}.json"
+    path.write_text(provenance + (json.dumps(doc) if line is None else line) + "\n")
+
+    argv = [command, "--config", checkpoints[f"{dataset}-config"], "--checkpoint", str(path),
+            "--out", str(tmp_path / "out.csv")]
+    code, err = _run(argv)
+    assert code in (0, 2, 3), (faults, line, err)
+    assert "Traceback" not in err
+    if not faults and line is None:
+        assert code == 0, err

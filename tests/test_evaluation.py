@@ -66,10 +66,8 @@ class TestCandidateScores:
     def test_scale_invariant_ranking(self):
         rng = np.random.default_rng(4)
         scores = rng.standard_normal((6, 8))
-        result = RetrievalResult(np.argmax(scores, axis=1), np.zeros(6, int), scores)
-        scaled = RetrievalResult(
-            np.argmax(2.5 * scores, axis=1), np.zeros(6, int), 2.5 * scores
-        )
+        result = RetrievalResult(np.argmax(scores, axis=1), np.zeros(6, int))
+        scaled = RetrievalResult(np.argmax(2.5 * scores, axis=1), np.zeros(6, int))
         np.testing.assert_array_equal(result.predicted, scaled.predicted)
 
 
@@ -104,12 +102,12 @@ class TestClassifyTarget:
 
 class TestBootstrap:
     def test_all_correct(self):
-        res = RetrievalResult(np.ones(50, int), np.ones(50, int), np.zeros((50, 2)))
+        res = RetrievalResult(np.ones(50, int), np.ones(50, int))
         rep = bootstrap_accuracy(res, 10, seed=0)
-        assert rep == BootstrapReport(1.0, 0.0, 10, 0)
+        assert rep == BootstrapReport(1.0, 0.0)
 
     def test_all_wrong(self):
-        res = RetrievalResult(np.zeros(50, int), np.ones(50, int), np.zeros((50, 2)))
+        res = RetrievalResult(np.zeros(50, int), np.ones(50, int))
         rep = bootstrap_accuracy(res, 10, seed=0)
         assert rep.mean_accuracy == 0.0 and rep.std_error == 0.0
 
@@ -119,7 +117,7 @@ class TestBootstrap:
         # simulation puts its 1-99% range at [0.0034, 0.0108] for B = 10
         rng = np.random.default_rng(8)
         correct = rng.permutation(np.repeat([0, 1], 2500))
-        res = RetrievalResult(correct, np.ones(5000, int), np.zeros((5000, 1)))
+        res = RetrievalResult(correct, np.ones(5000, int))
         rep = bootstrap_accuracy(res, 10, seed=2)
         assert 0.003 <= rep.std_error <= 0.012
         assert abs(rep.mean_accuracy - 0.5) < 0.02
@@ -127,11 +125,11 @@ class TestBootstrap:
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         correct = (rng.random(100) < 0.7).astype(int)
-        res = RetrievalResult(correct, np.ones(100, int), np.zeros((100, 1)))
+        res = RetrievalResult(correct, np.ones(100, int))
         assert bootstrap_accuracy(res, 10, seed=5) == bootstrap_accuracy(res, 10, seed=5)
 
     def test_validation(self):
-        res = RetrievalResult(np.ones(5, int), np.ones(5, int), np.zeros((5, 2)))
+        res = RetrievalResult(np.ones(5, int), np.ones(5, int))
         with pytest.raises(ValueError):
             bootstrap_accuracy(res, 0, seed=0)
 

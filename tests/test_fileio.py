@@ -26,6 +26,11 @@ class TestHashing:
     def test_canonical_json_sorted_minimal(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_canonical_json_refuses_non_finite(self, value):
+        with pytest.raises(ValueError):
+            canonical_json({"p_hat": value})
+
     def test_config_hash_order_insensitive(self):
         assert config_hash({"x": 1, "y": 2}) == config_hash({"y": 2, "x": 1})
         assert len(config_hash({})) == 16

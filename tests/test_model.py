@@ -29,8 +29,10 @@ from symile.objectives import draw_anchor_perms, pairwise_clip_loss_grads, symil
 class TestParamsPlumbing:
     def test_flatten_roundtrip(self):
         params = init_params({"a": 3, "b": 2}, d_out=4, seed=0)
-        arrays, decay, labels = flatten_params(params)
-        assert labels == ["W[a]", "b[a]", "W[b]", "b[b]", "log_scale"]
+        arrays, decay = flatten_params(params)
+        a, b = params.encoders["a"], params.encoders["b"]
+        expected = [a.W, a.b, b.W, b.b, params.log_scale]  # the same objects, in layout order
+        assert all(x is y for x, y in zip(arrays, expected, strict=True))
         assert decay == [True, True, True, True, False]
         rebuilt = unflatten_params(params, arrays)
         for name in ("a", "b"):
@@ -55,7 +57,7 @@ class TestParamsPlumbing:
         }
         ModelParams(enc, np.array([-0.3]))  # shared is fine
         with pytest.raises(ValueError):
-            ModelParams(dict(enc), np.array([-0.3, 0.1]))  # 2 scales, 1 pair
+            ModelParams(dict(enc), np.array([-0.3, 0.1]))  # one temperature only
 
     def test_encoders_must_share_d_out(self):
         with pytest.raises(ValueError):
@@ -106,7 +108,7 @@ class TestFullModelGradients:
             else None
         )
         _, _, analytic = loss_and_grads(params, inputs, objective, strategy, perms=perms)
-        arrays, _, labels = flatten_params(params)
+        arrays, _ = flatten_params(params)
 
         def loss_fn(arrs):
             loss, _, _ = loss_and_grads(
@@ -115,7 +117,7 @@ class TestFullModelGradients:
             return loss
 
         numeric = finite_diff_grad(loss_fn, arrays)
-        report = compare_gradients(analytic, numeric, labels)
+        report = compare_gradients(analytic, numeric)
         assert report.passed, f"max rel err {report.max_rel_error}"
 
     def test_temperature_gradient_nonzero(self):
@@ -160,17 +162,16 @@ def per_row_reference(params, inputs, objective, strategy, seed):
     reps, norms = {}, {}
     for name, enc in params.encoders.items():
         reps[name], norms[name] = normalize_rows(inputs[name] @ enc.W.T + enc.b)
-    scales = params.scales()
+    scale = params.scale()
     if objective == "symile":
-        loss, _, d_reps, d_scale = symile_loss_grads(reps, float(scales[0]), strategy, seed=seed)
-        d_scales = np.array([d_scale])
+        loss, _, d_reps, d_scale = symile_loss_grads(reps, scale, strategy, seed=seed)
     else:
-        loss, d_reps, d_scales = pairwise_clip_loss_grads(reps, scales)
+        loss, d_reps, d_scale = pairwise_clip_loss_grads(reps, scale)
     grads = []
     for name in params.encoders:
         d_z = normalize_rows_backward(reps[name], norms[name], d_reps[name])
         grads += [d_z.T @ inputs[name], d_z.sum(axis=0)]
-    return loss, grads + [d_scales * scales]
+    return loss, grads + [np.array([d_scale * scale])]
 
 
 class TestStateGrouping:
@@ -190,8 +191,7 @@ class TestStateGrouping:
         inputs = encoder_inputs(data)
         assert all(_input_states(x)[0].size < 10 for x in inputs.values())
         params = init_params(
-            {m: x.shape[1] for m, x in inputs.items()}, 5, seed=2, t_init=1.0,
-            per_pair_temperature=objective == "pairwise_clip",
+            {m: x.shape[1] for m, x in inputs.items()}, 5, seed=2, t_init=1.0
         )
         loss, _, grads = loss_and_grads(params, inputs, objective, strategy, seed=7)
         ref_loss, ref_grads = per_row_reference(params, inputs, objective, strategy, 7)

@@ -9,6 +9,7 @@ import pytest
 
 from symile.data import SplitSpec, gen_xor1d, gen_synth, split
 from symile.errors import SchemaError
+from symile.model import flatten_params
 from symile.train import (
     Checkpoint,
     TrainConfig,
@@ -84,7 +85,7 @@ class TestTrainLoop:
         )
         for name in ("a", "b", "c"):
             np.testing.assert_allclose(
-                result.final_params.encoders[name].W,
+                result.checkpoint.params.encoders[name].W,
                 ref.encoders[name].W,
                 atol=1e-9,
             )
@@ -128,11 +129,17 @@ class TestTrainLoop:
         result = train(cfg, tr, va)  # would raise on a singleton batch
         assert math.isfinite(result.checkpoint.val_loss)
 
-    def test_pairwise_clip_with_per_pair_temperature(self):
+    def test_later_epochs_leave_best_checkpoint_unchanged(self):
+        # the checkpoint holds the best epoch's own arrays, not a copy: at
+        # lr 1 validation gets worse after epoch 0, and the arrays kept then
+        # must equal those of a run that stops after epoch 0
         tr, va, _ = tiny_splits()
-        cfg = tiny_config(objective="pairwise_clip", per_pair_temperature=True, epochs=2)
-        result = train(cfg, tr, va)
-        assert result.checkpoint.params.log_scale.shape == (3,)
+        long = train(tiny_config(epochs=4, lr=1.0), tr, va).checkpoint
+        short = train(tiny_config(epochs=1, lr=1.0), tr, va).checkpoint
+        assert long.epoch == short.epoch == 0
+        pairs = zip(flatten_params(long.params)[0], flatten_params(short.params)[0], strict=True)
+        for a, b in pairs:
+            np.testing.assert_array_equal(a, b)
 
     def test_float64_training(self):
         tr, va, _ = tiny_splits()
