@@ -114,8 +114,8 @@ def recover_optimal_scorer(
         if initial_loss is None:
             initial_loss = loss
         final_loss = loss
-        grad = np.zeros_like(g_scores)
-        np.add.at(grad, tuple_idx.reshape(-1), grad_logits.reshape(-1) / _BATCHES_PER_STEP)
+        weights = grad_logits.reshape(-1) / _BATCHES_PER_STEP
+        grad = np.bincount(tuple_idx.reshape(-1), weights, minlength=table.n_states)
         (g_scores,), opt = adamw_step(opt, [g_scores], [grad])
         if step >= tail_start:
             tail_sum += g_scores

@@ -18,6 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import Dataset
+from .errors import SchemaError
 from .model import ModelParams
 from .nn import adamw_step, encode, init_optimizer, row_softmax_cross_entropy
 from .rng import substream
@@ -26,6 +27,10 @@ from .rng import substream
 def encode_modality(params: ModelParams, name: str, values: np.ndarray) -> np.ndarray:
     """Encode raw modality rows, padding the observed-indicator column with
     zeros when the encoder was trained with missingness augmentation."""
+    if name not in params.encoders:
+        raise SchemaError(
+            f"checkpoint has no encoder for modality {name!r}; it holds {sorted(params.encoders)}"
+        )
     enc = params.encoders[name]
     values = np.atleast_2d(np.asarray(values, dtype=enc.W.dtype))
     if values.shape[1] == enc.d_in - 1:

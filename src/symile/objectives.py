@@ -317,17 +317,6 @@ def clip_directional_loss(rx: np.ndarray, ry: np.ndarray, scale: float) -> float
     return loss
 
 
-def clip_pair_loss(rx: np.ndarray, ry: np.ndarray, scale: float) -> float:
-    """Two-modality contrastive loss: mean of the two directional CE terms,
-    each classifying the matched pair against full in-batch candidates."""
-    return pairwise_clip_loss({"x": rx, "y": ry}, scale)
-
-
-def modality_pairs(names: Sequence[str]) -> list[tuple[str, str]]:
-    """Unordered modality pairs, in a fixed canonical order."""
-    return list(itertools.combinations(names, 2))
-
-
 def pairwise_clip_loss(reps: Mapping[str, np.ndarray], scale: float) -> float:
     """Sum of the two-modality loss over all unordered modality pairs."""
     loss, _, _ = pairwise_clip_loss_grads(reps, scale)
@@ -348,7 +337,7 @@ def pairwise_clip_loss_grads(
 
     total, d_scale = 0.0, 0.0
     d_reps = {m: np.zeros_like(reps[m]) for m in names}
-    for x, y in modality_pairs(names):
+    for x, y in itertools.combinations(names, 2):
         for a, b in ((x, y), (y, x)):  # the mean of the two anchored terms
             loss, d_a, (d_b,), ds = _anchored_on_loss(
                 reps[a], [reps[b]], rows[a], [rows[b]], identity, scale

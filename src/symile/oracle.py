@@ -48,6 +48,8 @@ class JointTable:
     ``probs[s]`` is the probability of the state with flat index
     ``s = sum_v value_v * stride_v`` where ``stride_0 = 1`` and
     ``stride_v = stride_{v-1} * arity_{v-1}`` (first variable fastest).
+    Equivalently, ``probs.reshape(arities[::-1])`` has one axis per
+    variable, variable ``i`` on axis ``V - 1 - i``, in the same flat order.
     """
 
     var_names: tuple[str, ...]
@@ -72,20 +74,11 @@ class JointTable:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        strides = []
-        acc = 1
-        for a in arities:
-            strides.append(acc)
-            acc *= a
-        object.__setattr__(self, "_strides", tuple(strides))
         object.__setattr__(self, "_entropy_cache", {})
 
     @property
     def n_states(self) -> int:
         return self.probs.size
-
-    def stride(self, name: str) -> int:
-        return self._strides[self._index(name)]
 
     def _index(self, name: str) -> int:
         try:
@@ -93,27 +86,12 @@ class JointTable:
         except ValueError:
             raise KeyError(f"unknown variable {name!r}") from None
 
-    def values(self, name: str, states: np.ndarray | None = None) -> np.ndarray:
-        """Values taken by ``name`` at the given (default: all) states."""
-        if states is None:
-            states = np.arange(self.n_states)
-        i = self._index(name)
-        stride, arity = self._strides[i], self.arities[i]
-        if stride & (stride - 1) == 0 and arity & (arity - 1) == 0:
-            return (states >> (stride.bit_length() - 1)) & (arity - 1)
-        return (states // stride) % arity
-
     def state_index(self, assignment: dict[str, int]) -> int:
         """Flat index of a full assignment ``{name: value}``."""
         if set(assignment) != set(self.var_names):
             raise ValueError("assignment must cover every variable exactly once")
-        s = 0
-        for name, value in assignment.items():
-            i = self._index(name)
-            if not 0 <= value < self.arities[i]:
-                raise ValueError(f"value {value} out of range for {name!r}")
-            s += value * self.stride(name)
-        return s
+        values = [assignment[n] for n in reversed(self.var_names)]
+        return int(np.ravel_multi_index(values, self.arities[::-1]))
 
 
 def _check_subset(table: JointTable, names: Sequence[str], label: str) -> tuple[str, ...]:
@@ -125,24 +103,30 @@ def _check_subset(table: JointTable, names: Sequence[str], label: str) -> tuple[
     return names
 
 
-def _subset_states(table: JointTable, names: Sequence[str]) -> np.ndarray:
-    """Map every full state to its sub-state index over ``names`` (given order)."""
-    states = np.arange(table.n_states)
-    out = np.zeros(table.n_states, dtype=np.int64)
-    stride = 1
-    for name in names:
-        out += table.values(name, states) * stride
-        stride *= table.arities[table._index(name)]
-    return out
+def _axes(table: JointTable, names: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Grid axes of ``names`` (in the order given) and of the other variables."""
+    axes = tuple(len(table.var_names) - 1 - table._index(n) for n in names)
+    return axes, tuple(a for a in range(len(table.var_names)) if a not in axes)
+
+
+def _flat_over(table: JointTable, kept: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """Flatten ``kept``, a grid whose axes outside ``names`` have length 1,
+    into sub-states over ``names`` in the order given (first name fastest)."""
+    axes, other = _axes(table, names)
+    return kept.transpose(other + axes[::-1]).ravel()
+
+
+def _group_sum(table: JointTable, names: Sequence[str]) -> np.ndarray:
+    """Marginal mass over ``names`` on the grid, other axes kept at length 1."""
+    joint = table.probs.reshape(table.arities[::-1])
+    return joint.sum(axis=_axes(table, names)[1], keepdims=True)
 
 
 def marginal(table: JointTable, names: Sequence[str]) -> JointTable:
     """Marginal distribution over ``names``, encoded in the order given."""
     names = _check_subset(table, names, "names")
     arities = tuple(table.arities[table._index(n)] for n in names)
-    size = math.prod(arities)
-    probs = np.bincount(_subset_states(table, names), weights=table.probs, minlength=size)
-    return JointTable(names, arities, probs)
+    return JointTable(names, arities, _flat_over(table, _group_sum(table, names), names))
 
 
 # ---------------------------------------------------------------------------
@@ -325,26 +309,21 @@ def optimal_scorer(table: JointTable, groups: Sequence[Sequence[str]]) -> Tabula
     if covered != set(table.var_names):
         raise ValueError("groups must cover every variable of the table")
 
-    with np.errstate(divide="ignore"):
-        scores = np.where(table.probs > 0.0, np.log(table.probs), -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.log(table.probs.reshape(table.arities[::-1]))
         for g in groups:
-            marg = marginal(table, g)
-            scores = scores - np.log(marg.probs)[_subset_states(table, g)]
+            scores = scores - np.log(_group_sum(table, g))
+    scores = scores.ravel()
     scores[table.probs == 0.0] = -np.inf
     return TabularScorer(scores, tuple(groups))
 
 
-def _group_contribution(table: JointTable, names: Sequence[str]) -> np.ndarray:
-    """Flat-index contribution of each sub-state of ``names`` (given order)."""
-    arities = [table.arities[table._index(n)] for n in names]
-    size = math.prod(arities)
-    gs = np.arange(size)
-    out = np.zeros(size, dtype=np.int64)
-    gstride = 1
-    for name, arity in zip(names, arities):
-        out += ((gs // gstride) % arity) * table.stride(name)
-        gstride *= arity
-    return out
+def _zeroed_index(table: JointTable, names: Sequence[str]) -> np.ndarray:
+    """Flat index of each state with the variables outside ``names`` set
+    to 0, on the grid with their axes kept at length 1."""
+    other = _axes(table, names)[1]
+    index = np.arange(table.n_states).reshape(table.arities[::-1])
+    return index[tuple(slice(1) if a in other else slice(None) for a in range(index.ndim))]
 
 
 def _sample_from(cumulative: np.ndarray, rng: np.random.Generator, size) -> np.ndarray:
@@ -365,9 +344,10 @@ def contrastive_sampler(
     per non-anchor group.
     """
     joint_cum = np.cumsum(table.probs)
-    anchor_part = _group_contribution(table, groups[anchor])[_subset_states(table, groups[anchor])]
+    anchor_grid = _zeroed_index(table, groups[anchor])
+    anchor_part = np.broadcast_to(anchor_grid, table.arities[::-1]).ravel()
     others = [
-        (np.cumsum(marginal(table, g).probs), _group_contribution(table, g))
+        (np.cumsum(marginal(table, g).probs), _flat_over(table, _zeroed_index(table, g), g))
         for i, g in enumerate(groups)
         if i != anchor
     ]

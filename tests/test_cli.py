@@ -135,6 +135,24 @@ class TestTrainEvalProbe:
         assert code == 2
         assert "is not a checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "probe"])
+    def test_checkpoint_missing_an_encoder_exit_2(self, tmp_path, tiny_config_path, capsys, command):
+        out_dir = str(tmp_path / "run")
+        assert main(["train", "--config", tiny_config_path, "--out-dir", out_dir]) == 0
+        ckpt_path = os.path.join(out_dir, "checkpoint.json")
+        with open(ckpt_path) as f:
+            lines = f.read().splitlines()
+        body = json.loads(lines[1])
+        del body["encoders"]["a"]
+        with open(ckpt_path, "w") as f:
+            f.write(lines[0] + "\n" + json.dumps(body) + "\n")
+        capsys.readouterr()
+        code = main([command, "--config", tiny_config_path, "--checkpoint", ckpt_path,
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no encoder for modality 'a'" in err and "['b', 'c']" in err
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 

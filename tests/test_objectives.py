@@ -20,9 +20,7 @@ from symile.errors import NonFiniteError
 from symile.nn import row_softmax_cross_entropy
 from symile.objectives import (
     clip_directional_loss,
-    clip_pair_loss,
     mip,
-    modality_pairs,
     pairwise_clip_loss,
     pairwise_clip_loss_grads,
     symile_loss,
@@ -202,15 +200,16 @@ class TestLogitsOn2:
 class TestClipPairLoss:
     def test_single_sample_zero(self):
         rx = np.array([[1.0, 0.0]])
-        assert clip_pair_loss(rx, rx, scale=3.0) == pytest.approx(0.0, abs=1e-12)
+        assert pairwise_clip_loss({"x": rx, "y": rx}, 3.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_rows_give_log_n(self):
         r = np.tile([0.6, 0.8], (7, 1))
-        assert clip_pair_loss(r, r.copy(), 2.0) == pytest.approx(math.log(7), abs=1e-9)
+        loss = pairwise_clip_loss({"x": r, "y": r.copy()}, 2.0)
+        assert loss == pytest.approx(math.log(7), abs=1e-9)
 
     def test_hand_value_orthogonal_pairs(self):
         rx = np.eye(2)
-        loss = clip_pair_loss(rx, rx.copy(), scale=1.0)
+        loss = pairwise_clip_loss({"x": rx, "y": rx.copy()}, 1.0)
         # each direction, each row: -log(e / (e + 1))
         expected = math.log(1.0 + math.exp(-1.0))
         assert loss == pytest.approx(expected, abs=1e-12)
@@ -218,7 +217,7 @@ class TestClipPairLoss:
     def test_matches_two_directional_terms(self):
         rng = np.random.default_rng(8)
         rx, ry = (rng.standard_normal((6, 4)) for _ in range(2))
-        loss = clip_pair_loss(rx, ry, 1.4)
+        loss = pairwise_clip_loss({"x": rx, "y": ry}, 1.4)
         direct = 0.5 * (
             clip_directional_loss(rx, ry, 1.4) + clip_directional_loss(ry, rx, 1.4)
         )
@@ -241,16 +240,19 @@ class TestPairwiseClip:
     def test_two_modalities_reduces_to_pair(self):
         rng = np.random.default_rng(10)
         reps = rand_reps(rng, "xy", 5, 3)
-        assert pairwise_clip_loss(reps, 1.2) == pytest.approx(
-            clip_pair_loss(reps["x"], reps["y"], 1.2), rel=1e-12
+        direct = 0.5 * (
+            clip_directional_loss(reps["x"], reps["y"], 1.2)
+            + clip_directional_loss(reps["y"], reps["x"], 1.2)
         )
+        assert pairwise_clip_loss(reps, 1.2) == pytest.approx(direct, rel=1e-12)
 
     def test_three_modalities_sum_of_pairs(self):
         rng = np.random.default_rng(11)
         reps = rand_reps(rng, "xyz", 4, 3)
         total = pairwise_clip_loss(reps, 0.9)
         parts = sum(
-            clip_pair_loss(reps[a], reps[b], 0.9) for a, b in modality_pairs("xyz")
+            pairwise_clip_loss({a: reps[a], b: reps[b]}, 0.9)
+            for a, b in itertools.combinations("xyz", 2)
         )
         assert total == pytest.approx(parts, rel=1e-12)
 
@@ -385,7 +387,7 @@ def brute_force_terms(reps, scale, strategy, perms=None):
     names = list(reps)
     if strategy == "pairwise":
         terms = {}
-        for x, y in modality_pairs(names):
+        for x, y in itertools.combinations(names, 2):
             logits = scale * np.einsum("id,jd->ij", reps[x], reps[y])
             targets = np.arange(logits.shape[0])
             both = _row_ce(logits, targets).mean() + _row_ce(logits.T, targets).mean()

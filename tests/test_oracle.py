@@ -21,6 +21,7 @@ from symile.oracle import (
     build_synth_table,
     build_xor1d_table,
     conditional_mi,
+    contrastive_sampler,
     entropy,
     marginal,
     mutual_information,
@@ -333,3 +334,78 @@ class TestBoundValue:
             bound_value(t, g, 0, 10, seed=0)
         with pytest.raises(ValueError):
             bound_value(t, g, 2, 0, seed=0)
+
+
+def flat_index(values, arities):
+    """Little-endian flat index by explicit strides (first value fastest)."""
+    return sum(v * math.prod(arities[:i]) for i, v in enumerate(values))
+
+
+def decode(s, arities):
+    return [(s // math.prod(arities[:i])) % a for i, a in enumerate(arities)]
+
+
+class TestMixedArities:
+    """A random table with arities (2, 3, 4) against brute force over
+    every assignment, with groups listed out of table order."""
+
+    GROUPS = (("z",), ("y", "x"))
+
+    @pytest.fixture()
+    def table(self):
+        return random_table(np.random.default_rng(31), ("x", "y", "z"), (2, 3, 4))
+
+    def brute_marginal(self, table, names):
+        arities = [table.arities[table.var_names.index(n)] for n in names]
+        out = np.zeros(math.prod(arities))
+        for values in itertools.product(*(range(a) for a in table.arities)):
+            full = dict(zip(table.var_names, values))
+            sub = flat_index([full[n] for n in names], arities)
+            out[sub] += table.probs[flat_index(values, table.arities)]
+        return out, tuple(arities)
+
+    def test_state_index(self, table):
+        seen = set()
+        for values in itertools.product(*(range(a) for a in table.arities)):
+            s = table.state_index(dict(zip(table.var_names, values)))
+            assert s == flat_index(values, table.arities)
+            seen.add(s)
+        assert seen == set(range(table.n_states))
+
+    def test_every_marginal_over_every_ordered_subset(self, table):
+        for r in (1, 2, 3):
+            for names in itertools.permutations(table.var_names, r):
+                m = marginal(table, names)
+                expected, arities = self.brute_marginal(table, names)
+                assert m.var_names == names and m.arities == arities
+                np.testing.assert_allclose(m.probs, expected, rtol=1e-12, atol=1e-15)
+
+    def test_optimal_scorer_out_of_order_groups(self, table):
+        scores = optimal_scorer(table, self.GROUPS).scores
+        (pz, _), (pyx, _) = (self.brute_marginal(table, g) for g in self.GROUPS)
+        for values in itertools.product(*(range(a) for a in table.arities)):
+            x, y, z = values
+            s = flat_index(values, table.arities)
+            expected = math.log(table.probs[s] / (pz[z] * pyx[flat_index((y, x), (3, 2))]))
+            assert scores[s] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("anchor", [0, 1])
+    def test_sampler_out_of_order_groups(self, table, anchor):
+        draw = contrastive_sampler(table, self.GROUPS, anchor)
+        pos, neg = draw(np.random.default_rng(5), 4000, 5)
+        assert pos.shape == (4000,) and neg.shape == (4000, 4)
+        pos_vals = np.array([decode(s, table.arities) for s in pos])  # columns x, y, z
+        neg_vals = np.array([decode(s, table.arities) for s in neg.ravel()]).reshape(4000, 4, 3)
+        columns = {"x": 0, "y": 1, "z": 2}
+        anchor_cols = [columns[n] for n in self.GROUPS[anchor]]
+        np.testing.assert_array_equal(
+            neg_vals[:, :, anchor_cols], np.repeat(pos_vals[:, None, anchor_cols], 4, axis=1)
+        )
+
+        other = self.GROUPS[1 - anchor]
+        expected, arities = self.brute_marginal(table, other)
+        sub = neg_vals[:, :, [columns[n] for n in other]].reshape(-1, len(other))
+        freq = np.bincount([flat_index(v, arities) for v in sub], minlength=expected.size)
+        freq = freq / sub.shape[0]
+        se = np.sqrt(expected * (1.0 - expected) / sub.shape[0])
+        assert np.all(np.abs(freq - expected) <= 4.0 * se)
