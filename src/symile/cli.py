@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import fields as dataclass_fields
@@ -20,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from . import fileio
-from .data import Dataset, apply_missingness, gen_synth, gen_xor1d
+from .data import Dataset, apply_missingness, gen_synth, gen_xor1d, is_kind
 from .diagnostics import (
     bound_tightness_report,
     calibration_example,
@@ -63,7 +64,7 @@ def _run_config(path: str | None) -> tuple[dict[str, Any], TrainConfig]:
         raise SchemaError(f"unknown dataset {doc['dataset']!r}")
     doc.setdefault("p_hat", 1.0)
     p_hat = doc["p_hat"]
-    if not isinstance(p_hat, (int, float)) or isinstance(p_hat, bool) or not 0.0 <= p_hat <= 1.0:
+    if not is_kind(p_hat, numbers.Real) or not 0.0 <= p_hat <= 1.0:
         raise SchemaError(f"p_hat must be a number in [0, 1], got {p_hat!r}")
     doc.setdefault("i_mode", "shared")
     if doc["i_mode"] not in ("shared", "per_coordinate"):
@@ -365,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="cells run on this many threads (at least 1), each cell's BLAS calls on one "
-        "thread; outputs are byte-identical at any value",
+        help="cells run on this many threads (at least 1); outputs are byte-identical "
+        "at any value",
     )
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_reproduce_fig3)

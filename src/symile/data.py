@@ -16,6 +16,12 @@ from .errors import SchemaError
 from .rng import substream
 
 
+def is_kind(value: object, kind: type) -> bool:
+    """Whether ``value`` is an instance of ``kind``, where a bool is never
+    taken for a number: the type rule of every config value."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 @dataclass
 class SplitSpec:
     """Sample counts of the train/val/test partition."""
@@ -27,10 +33,8 @@ class SplitSpec:
     def __post_init__(self) -> None:
         for name in ("train", "val", "test"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise SchemaError(f"split {name} count must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} count must be >= 1")
+            if not is_kind(value, numbers.Integral) or value < 1:
+                raise SchemaError(f"split {name} count must be a positive integer, got {value!r}")
 
     @property
     def total(self) -> int:

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, encoder_inputs
 from .errors import SchemaError
 from .model import ModelParams
 from .nn import adamw_step, encode, init_optimizer, row_softmax_cross_entropy
@@ -199,11 +199,19 @@ class ProbeResult:
     n_classes: int
 
 
-def product_features(
+def _probe_rows(
     params: ModelParams, dataset: Dataset, target: str
-) -> np.ndarray:
-    """Element-wise product of the non-target modalities' representations."""
-    return _query_product(params, {m: x for m, x in dataset.modalities.items() if m != target})
+) -> tuple[np.ndarray, np.ndarray]:
+    """(features, class labels) of the rows whose target is observed: the
+    element-wise product of the non-target representations, encoded from
+    ``encoder_inputs`` so that a missing modality carries its indicator."""
+    inputs = encoder_inputs(dataset)
+    x = _query_product(params, {m: v for m, v in inputs.items() if m != target})
+    y = binary_vector_index(dataset.modalities[target])
+    if dataset.masks is None:
+        return x, y
+    observed = dataset.masks[target]
+    return x[observed], y[observed]
 
 
 def sufficient_statistic_probe(
@@ -222,12 +230,10 @@ def sufficient_statistic_probe(
     The probe is a single affine layer with softmax cross-entropy, trained
     with Adam and no weight decay, so success reflects what the features
     carry rather than probe capacity.  Classes are the 2^d possible target
-    vectors.
+    vectors.  Rows whose target is missing are left out of both splits.
     """
-    x_train = product_features(params, train_ds, target)
-    x_test = product_features(params, test_ds, target)
-    y_train = binary_vector_index(train_ds.modalities[target])
-    y_test = binary_vector_index(test_ds.modalities[target])
+    x_train, y_train = _probe_rows(params, train_ds, target)
+    x_test, y_test = _probe_rows(params, test_ds, target)
     n_classes = 2 ** train_ds.modalities[target].shape[1]
 
     d = x_train.shape[1]

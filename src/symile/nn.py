@@ -10,6 +10,7 @@ update functions return fresh arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -120,8 +121,10 @@ def init_optimizer(
     weight_decay: float = 0.0,
     decay: Sequence[bool] | None = None,
 ) -> OptimizerState:
-    if lr <= 0.0:
-        raise ValueError(f"lr must be positive, got {lr}")
+    if not 0.0 < lr < math.inf:  # also refuses NaN
+        raise ValueError(f"lr must be positive and finite, got {lr}")
+    if not math.isfinite(weight_decay):
+        raise ValueError(f"weight_decay must be finite, got {weight_decay}")
     flags = list(decay) if decay is not None else [True] * len(params)
     if len(flags) != len(params):
         raise ValueError("decay flags must match parameter count")

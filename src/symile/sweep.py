@@ -9,26 +9,23 @@ readable result file of the same spec are skipped; any other result file
 is recomputed and replaced.  Failed cells are reported at the end,
 in grid order, without discarding completed ones.
 
-Cells run their BLAS calls on one OpenBLAS thread at every ``jobs``: at
-these shapes a second BLAS thread loses more than it gains, ``jobs``
-cell threads sharing one BLAS pool oversubscribe the CPUs, and one thread
-makes every output byte-identical across ``jobs``.
+Cells run on up to ``jobs`` threads.  Each cell draws its randomness
+from substreams of its own seed and writes only its own directory, so
+every output is byte-identical across ``jobs``.  BLAS calls keep the
+process's own thread settings, as in every other entry point.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
 import numbers
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from . import fileio
-from .data import gen_synth
+from .data import gen_synth, is_kind
 from .errors import SchemaError
 from .evaluation import bootstrap_accuracy, classify_target
 from .model import OBJECTIVES
@@ -76,7 +73,7 @@ class SweepSpec:
         if unknown:
             raise SchemaError(f"unknown objectives {unknown}; choose from {list(OBJECTIVES)}")
         for seed in self.seeds:
-            if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+            if not is_kind(seed, numbers.Integral) or seed < 0:
                 raise SchemaError(f"seeds must be non-negative integers, got {seed!r}")
         for values in (self.p_hat_grid, self.objectives, self.seeds):
             if len(set(values)) != len(values):  # two threads would share one cell
@@ -196,73 +193,6 @@ def information_rows(
     return rows
 
 
-# (get, set) symbol pairs of OpenBLAS's thread count, in the order tried:
-# numpy's own wheels, 64-bit-integer builds, then plain builds.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_threads() -> tuple[Any, Any] | None:
-    """(get, set) of the thread count of the OpenBLAS loaded in this
-    process, or None when no known pair is found."""
-    try:
-        with open("/proc/self/maps") as f:
-            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
-        for lib in libs:
-            handle = ctypes.CDLL(lib)
-            for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-                get = getattr(handle, get_name, None)
-                set_ = getattr(handle, set_name, None)
-                if get is not None and set_ is not None:
-                    get.restype, get.argtypes = ctypes.c_int, []
-                    set_.restype, set_.argtypes = None, [ctypes.c_int]
-                    return get, set_
-    except OSError:
-        pass
-    return None
-
-
-class _OneBlasThread:
-    """Context manager: OpenBLAS runs on one thread inside, and its earlier
-    thread count comes back on exit, also when the body raises.  Nested and
-    concurrent uses share the cap: the first to enter saves the count and
-    the last to leave restores it.  Without OpenBLAS it does nothing."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = 0
-
-    def __enter__(self) -> None:
-        api = _openblas_threads()
-        if api is None:
-            return
-        get, set_ = api
-        with self._lock:
-            if self._depth == 0:
-                self._saved = get()
-                set_(1)
-            self._depth += 1
-
-    def __exit__(self, *exc: object) -> None:
-        api = _openblas_threads()
-        if api is None:
-            return
-        _, set_ = api
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                set_(self._saved)
-
-
-# One per process, like the OpenBLAS thread count it guards.
-_one_blas_thread = _OneBlasThread()
-
-
 @dataclass
 class SweepOutcome:
     accuracy_csv: str
@@ -294,13 +224,12 @@ def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> SweepOutcome:
             errors[cell] = f"{type(exc).__name__}: {exc}"
 
     workers = min(jobs, len(cells))
-    with _one_blas_thread:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_one, cells))
-        else:
-            for cell in cells:
-                run_one(cell)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_one, cells))
+    else:
+        for cell in cells:
+            run_one(cell)
 
     sweep_hash = spec.hash()
     seed0 = spec.seeds[0]

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from . import fileio
-from .data import Dataset, SplitSpec, apply_missingness, encoder_inputs, split
+from .data import Dataset, SplitSpec, apply_missingness, encoder_inputs, is_kind, split
 from .errors import DivergenceError, NonFiniteError, SchemaError
 from .model import (
     ModelParams,
@@ -32,12 +32,8 @@ from .objectives import STRATEGIES
 from .rng import derive_seed, substream
 
 
-# Field annotations that are checked by type; bool is not taken for a number.
+# Field annotations that are checked by type (see ``is_kind``).
 _FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
-
-
-def _is_kind(value: Any, kind: type) -> bool:
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _check_kinds(obj: Any) -> None:
@@ -45,7 +41,7 @@ def _check_kinds(obj: Any) -> None:
     key of _FIELD_KINDS holds a value of that kind."""
     for f in fields(obj):
         kind, value = _FIELD_KINDS.get(f.type), getattr(obj, f.name)
-        if kind is not None and not _is_kind(value, kind):
+        if kind is not None and not is_kind(value, kind):
             raise SchemaError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 

@@ -333,6 +333,13 @@ class TestDiagnoseCommand:
         assert "steps" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_scorer_with_non_finite_lr_exit_2(self, tmp_path, capsys, lr):
+        out = tmp_path / "scorer.csv"
+        assert main(["diagnose", "--check", "scorer", "--lr", lr, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: lr must be positive and finite")
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_tiny_sweep_and_resume(self, tmp_path, tiny_config_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symile.data import Dataset, gen_synth
+from symile.data import Dataset, apply_missingness, gen_synth
 from symile.evaluation import (
     BootstrapReport,
     RetrievalResult,
@@ -191,6 +191,36 @@ class TestSufficientStatisticProbe:
         ds = Dataset(mods)
         params = init_params({"a": 2, "b": 2, "c": 2}, 4, seed=12)
         result = sufficient_statistic_probe(params, ds, ds, target="b", epochs=5)
+        assert result.accuracy == 1.0
+
+    def test_rows_with_a_missing_target_are_left_out(self):
+        # a zero-filled target would read as class 0 and teach the probe a
+        # second class the complete test split never has
+        rng = np.random.default_rng(11)
+        mods = {
+            "a": rng.integers(0, 2, (200, 2)).astype(float),
+            "b": np.ones((200, 2)),
+            "c": rng.integers(0, 2, (200, 2)).astype(float),
+        }
+        masked = apply_missingness(Dataset(mods), 0.5, seed=3)
+        params = init_params({"a": 3, "b": 3, "c": 3}, 4, seed=12)
+        result = sufficient_statistic_probe(params, masked, Dataset(mods), target="b", epochs=5)
+        assert result.accuracy == 1.0
+
+    def test_missing_queries_carry_their_indicator(self):
+        # the target says whether a is observed; a's values are zero either
+        # way, so only the missing indicator can tell the rows apart
+        rng = np.random.default_rng(11)
+        a_seen = rng.random(200) < 0.5
+        mods = {
+            "a": np.zeros((200, 2)),
+            "b": np.column_stack([a_seen, ~a_seen]).astype(float),
+            "c": np.zeros((200, 2)),
+        }
+        masks = {"a": a_seen, "b": np.ones(200, bool), "c": np.ones(200, bool)}
+        ds = Dataset(mods, masks=masks)
+        params = init_params({"a": 3, "b": 3, "c": 3}, 4, seed=12)
+        result = sufficient_statistic_probe(params, ds, ds, target="b", epochs=50)
         assert result.accuracy == 1.0
 
     def test_no_information_target_stays_at_chance(self):

@@ -176,6 +176,15 @@ class TestAdamW:
         with pytest.raises(ValueError):
             adamw_step(opt, params, [np.zeros(3)])
 
+    @pytest.mark.parametrize(
+        "lr, weight_decay, name",
+        [(math.nan, 0.0, "lr"), (math.inf, 0.0, "lr"), (0.0, 0.0, "lr"), (-1.0, 0.0, "lr"),
+         (0.1, math.nan, "weight_decay"), (0.1, math.inf, "weight_decay")],
+    )
+    def test_bad_settings_refused_by_name(self, lr, weight_decay, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            init_optimizer([np.zeros(2)], lr=lr, weight_decay=weight_decay)
+
 
 class TestFiniteDiff:
     def test_quadratic(self):

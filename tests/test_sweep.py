@@ -1,10 +1,8 @@
-"""Sweep runner: one OpenBLAS thread per cell, outputs byte-identical at any
---jobs, pool sizing, failure order and atomic cell results."""
+"""Sweep runner: outputs byte-identical at any --jobs, pool sizing, failure
+order and atomic cell results."""
 
 import json
 import os
-import sys
-import threading
 import time
 
 import pytest
@@ -24,11 +22,6 @@ TINY_CONFIG = {
     "seed": 0,
     "split": {"train": 128, "val": 64, "test": 64},
 }
-
-needs_openblas = pytest.mark.skipif(
-    sweep._openblas_threads() is None,
-    reason="no known OpenBLAS get/set thread-count symbol pair is loaded",
-)
 
 
 def tree_bytes(root):
@@ -58,144 +51,24 @@ def two_cell_spec():
     return SweepSpec(p_hat_grid=(0.0, 1.0), objectives=("symile",), dims=1)
 
 
-@pytest.fixture()
-def blas_threads():
-    """OpenBLAS's (get, set), with the count set to 2 for the test so that
-    a restore is told apart from the cap, and put back afterwards."""
-    get, set_ = sweep._openblas_threads()
-    before = get()
-    set_(2)
-    yield get, set_
-    set_(before)
-
-
-class TestOneBlasThread:
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_outputs_byte_identical_across_jobs(self, tmp_path, dtype, seed):
-        # The sweep benchmark's batch and width: at smaller shapes OpenBLAS
-        # runs one thread anyway, and the check could not see a second.
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            **TINY_CONFIG, "dtype": dtype, "seed": seed, "batch_size": 500, "d_out": 16,
-            "split": {"train": 1000, "val": 500, "test": 64},
-        }))
-        trees = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            assert main(["reproduce-fig3", "--config", str(cfg), "--grid", "0,1",
-                         "--seeds", str(seed), "--jobs", jobs, "--out-dir", str(out)]) == 0
-            trees.append(tree_bytes(out))
-        assert len(trees[0]) == 2 + 2 * 4  # two CSVs; result and checkpoint per cell
-        assert trees[0] == trees[1]
-
-    @needs_openblas
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_cells_see_one_thread_and_count_is_restored(
-        self, tmp_path, monkeypatch, blas_threads, jobs
-    ):
-        get, _ = blas_threads
-        before = get()
-        seen = []
-
-        def recording_cell(*args):
-            seen.append(get())
-            return fake_row(*args)
-
-        monkeypatch.setattr(sweep, "run_cell", recording_cell)
-        outcome = run_sweep(two_cell_spec(), str(tmp_path), jobs=jobs)
-        assert seen == [1, 1] and not outcome.failures
-        assert get() == before
-
-    @needs_openblas
-    def test_count_restored_after_cells_raise(self, tmp_path, monkeypatch, blas_threads):
-        get, _ = blas_threads
-        before = get()
-
-        def failing_cell(*args):
-            raise RuntimeError("cell failed")
-
-        monkeypatch.setattr(sweep, "run_cell", failing_cell)
-        outcome = run_sweep(two_cell_spec(), str(tmp_path), jobs=2)
-        assert len(outcome.failures) == 2
-        assert get() == before
-
-        class Interrupted(BaseException):
-            pass
-
-        def interrupted_cell(*args):
-            raise Interrupted
-
-        monkeypatch.setattr(sweep, "run_cell", interrupted_cell)
-        with pytest.raises(Interrupted):
-            run_sweep(two_cell_spec(), str(tmp_path / "b"), jobs=1)
-        assert get() == before
-
-    @needs_openblas
-    def test_overlapping_sweeps_share_the_cap(self, tmp_path, monkeypatch, blas_threads):
-        # Sweep B starts first and ends while sweep A is still in its cell:
-        # A must keep one thread, and the count must end where it began.
-        get, _ = blas_threads
-        before = get()
-        b_in, a_in, b_done = threading.Event(), threading.Event(), threading.Event()
-        seen = {}
-
-        def cell(spec, p_hat, *rest):
-            if p_hat == 1.0:  # sweep B
-                b_in.set()
-                assert a_in.wait(10)
-            else:  # sweep A
-                a_in.set()
-                assert b_done.wait(10)
-            seen[p_hat] = get()
-            return fake_row(spec, p_hat, *rest)
-
-        def sweep_b():
-            run_sweep(SweepSpec(p_hat_grid=(1.0,), objectives=("symile",), dims=1),
-                      str(tmp_path / "b"))
-            b_done.set()
-
-        monkeypatch.setattr(sweep, "run_cell", cell)
-        thread = threading.Thread(target=sweep_b)
-        thread.start()
-        assert b_in.wait(10)
-        run_sweep(SweepSpec(p_hat_grid=(0.0,), objectives=("symile",), dims=1),
-                  str(tmp_path / "a"))
-        thread.join(10)
-        assert not thread.is_alive()
-        assert seen == {0.0: 1, 1.0: 1}
-        assert get() == before
-
-    @needs_openblas
-    def test_many_concurrent_sweeps(self, tmp_path, monkeypatch, blas_threads):
-        # more sweep threads and cell threads than cores, switching often:
-        # a lost update to the shared cap would leave a cell on two threads
-        # or the count unrestored
-        get, _ = blas_threads
-        before = get()
-        seen = []
-
-        def recording_cell(*args):
-            seen.append(get())
-            return fake_row(*args)
-
-        def one_sweep(k):
-            run_sweep(two_cell_spec(), str(tmp_path / str(k)), jobs=2)
-
-        monkeypatch.setattr(sweep, "run_cell", recording_cell)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=one_sweep, args=(k,)) for k in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert seen == [1] * 16
-        assert get() == before
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_outputs_byte_identical_across_jobs(tmp_path, dtype, seed):
+    # The sweep benchmark's batch and width: at smaller shapes OpenBLAS
+    # runs one thread anyway, and the check could not see a second.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        **TINY_CONFIG, "dtype": dtype, "seed": seed, "batch_size": 500, "d_out": 16,
+        "split": {"train": 1000, "val": 500, "test": 64},
+    }))
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["reproduce-fig3", "--config", str(cfg), "--grid", "0,1",
+                     "--seeds", str(seed), "--jobs", jobs, "--out-dir", str(out)]) == 0
+        trees.append(tree_bytes(out))
+    assert len(trees[0]) == 2 + 2 * 4  # two CSVs; result and checkpoint per cell
+    assert trees[0] == trees[1]
 
 
 class TestJobs:
