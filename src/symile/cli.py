@@ -28,7 +28,7 @@ from .diagnostics import (
     recover_optimal_scorer,
     run_gradient_check,
 )
-from .errors import DivergenceError, SchemaError, SymileError
+from .errors import DivergenceError, NonFiniteError, SchemaError, SymileError
 from .evaluation import bootstrap_accuracy, classify_target, sufficient_statistic_probe
 from .oracle import build_xor1d_table
 from .rng import derive_seed
@@ -366,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="cells run on this many threads (at least 1); outputs are byte-identical "
-        "at any value",
+        help="cells run in this many forked worker processes (at least 1; serially "
+        "where the platform cannot fork); outputs are byte-identical at any value",
     )
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_reproduce_fig3)
@@ -380,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DivergenceError as exc:
+    except (DivergenceError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except (SchemaError, SymileError, ValueError, KeyError, OSError) as exc:

@@ -75,13 +75,18 @@ def encode(encoder: AffineEncoder, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def row_softmax_cross_entropy(
     logits: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-row CE and gradient for a (N, K) logit matrix."""
+    """Vectorized per-row CE and gradient for a (N, K) logit matrix.
+
+    Logits more than the float range below their row's max shift to -inf,
+    whose exp is the exact 0, so such a target's loss is +inf.
+    """
     if not np.all(np.isfinite(logits)):
         raise NonFiniteError("logits must be finite")
     rows = np.arange(logits.shape[0])
     maxes = logits.max(axis=1, keepdims=True)
-    target_shifted = logits[rows, targets] - maxes[:, 0]
-    p = logits - maxes
+    with np.errstate(over="ignore"):
+        target_shifted = logits[rows, targets] - maxes[:, 0]
+        p = logits - maxes
     np.exp(p, out=p)
     sums = p.sum(axis=1, keepdims=True)
     losses = np.log(sums[:, 0]) - target_shifted
@@ -146,6 +151,8 @@ def adamw_step(
 
     Weight decay is applied as theta <- theta - lr * wd * theta,
     independent of the adaptive term, only where ``state.decay`` is set.
+    An update that overflows or turns a value into NaN raises
+    NonFiniteError naming the step size, instead of returning it.
     """
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("parameter/gradient/state lengths disagree")
@@ -158,15 +165,21 @@ def adamw_step(
     new_params: list[np.ndarray] = []
     new_m: list[np.ndarray] = []
     new_v: list[np.ndarray] = []
-    for p, g, m, v, decayed in zip(params, grads, state.m, state.v, state.decay):
-        m = _ADAM_B1 * m + (1.0 - _ADAM_B1) * g
-        v = _ADAM_B2 * v + (1.0 - _ADAM_B2) * (g * g)
-        update = (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
-        if decayed and state.weight_decay != 0.0:
-            update = update + state.weight_decay * p
-        new_params.append(p - state.lr * update)
-        new_m.append(m)
-        new_v.append(v)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for p, g, m, v, decayed in zip(params, grads, state.m, state.v, state.decay):
+                m = _ADAM_B1 * m + (1.0 - _ADAM_B1) * g
+                v = _ADAM_B2 * v + (1.0 - _ADAM_B2) * (g * g)
+                update = (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
+                if decayed and state.weight_decay != 0.0:
+                    update = update + state.weight_decay * p
+                new_params.append(p - state.lr * update)
+                new_m.append(m)
+                new_v.append(v)
+    except FloatingPointError as exc:
+        raise NonFiniteError(
+            f"AdamW step {step} with step size lr={state.lr!r} is not finite ({exc})"
+        ) from None
     return new_params, replace(state, step=step, m=new_m, v=new_v)
 
 

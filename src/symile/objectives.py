@@ -51,20 +51,6 @@ STRATEGIES = ("on", "on2")
 Rows = Mapping[str, np.ndarray]
 
 
-def mip(vectors: Sequence[np.ndarray]) -> float:
-    """Multilinear inner product: sum_d prod_m vectors[m][d]."""
-    if len(vectors) < 2:
-        raise ValueError("the multilinear inner product needs at least 2 vectors")
-    arrs = [np.asarray(v).reshape(-1) for v in vectors]
-    size = arrs[0].size
-    if any(a.size != size for a in arrs):
-        raise ValueError(f"vector lengths disagree: {[a.size for a in arrs]}")
-    prod = arrs[0].copy()
-    for a in arrs[1:]:
-        prod *= a
-    return float(prod.sum())
-
-
 def _validate_perm(perm: np.ndarray, n: int) -> np.ndarray:
     perm = np.asarray(perm)
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):

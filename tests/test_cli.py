@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,17 @@ class TestTrainEvalProbe:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_huge_finite_lr_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "huge_lr.json"
+        path.write_text(json.dumps({**TINY_CONFIG, "lr": 1e308}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning may escape
+            code = main(["train", "--config", str(path), "--out-dir", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "step size lr=1e+308" in err
+        assert not os.path.exists(tmp_path / "checkpoint.json")
+
     @pytest.mark.parametrize(
         "key,value",
         [
@@ -338,6 +350,17 @@ class TestDiagnoseCommand:
         out = tmp_path / "scorer.csv"
         assert main(["diagnose", "--check", "scorer", "--lr", lr, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: lr must be positive and finite")
+        assert not out.exists()
+
+    def test_scorer_with_huge_finite_lr_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "scorer.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning may escape
+            code = main(["diagnose", "--check", "scorer", "--lr", "1e308", "--steps", "20",
+                         "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "step size lr=1e+308" in err
         assert not out.exists()
 
 

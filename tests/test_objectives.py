@@ -1,4 +1,4 @@
-"""Objective-function tests: the multilinear inner product, an einsum
+"""Objective-function tests: a brute-force multilinear inner product, an einsum
 brute force of the score matrices checked by hand, the state-grouped
 kernel against that brute force (loss and gradients, discrete and
 continuous inputs), loss values against hand computations, and the
@@ -20,12 +20,22 @@ from symile.errors import NonFiniteError
 from symile.nn import row_softmax_cross_entropy
 from symile.objectives import (
     clip_directional_loss,
-    mip,
     pairwise_clip_loss,
     pairwise_clip_loss_grads,
     symile_loss,
     symile_loss_grads,
 )
+
+
+def mip(vectors):
+    """Multilinear inner product sum_d prod_m vectors[m][d], one coordinate
+    at a time: the reference the score tests compare against."""
+    if len(vectors) < 2:
+        raise ValueError("the multilinear inner product needs at least 2 vectors")
+    flat = [np.asarray(v, dtype=np.float64).reshape(-1) for v in vectors]
+    if len({v.size for v in flat}) != 1:
+        raise ValueError(f"vector lengths disagree: {[v.size for v in flat]}")
+    return math.fsum(math.prod(coords) for coords in zip(*flat))
 
 
 def softmax_cross_entropy(logits, target):

@@ -1,8 +1,12 @@
-"""Sweep runner: outputs byte-identical at any --jobs, pool sizing, failure
-order and atomic cell results."""
+"""Sweep runner: outputs byte-identical at any --jobs, pool sizing, the
+serial fallback, failure order, worker lifetime, resume and atomic cell
+results."""
 
+import concurrent.futures
 import json
+import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -11,6 +15,7 @@ from symile import sweep
 from symile.cli import main
 from symile.errors import SchemaError
 from symile.sweep import SweepSpec, run_sweep
+from symile.train import TrainConfig
 
 TINY_CONFIG = {
     "dataset": "synth5d",
@@ -51,6 +56,15 @@ def two_cell_spec():
     return SweepSpec(p_hat_grid=(0.0, 1.0), objectives=("symile",), dims=1)
 
 
+def tiny_spec():
+    """Two real cells of the tiny config, a second or so each."""
+    return SweepSpec(
+        p_hat_grid=(0.0, 1.0),
+        objectives=("symile",),
+        base_config=TrainConfig(**{k: v for k, v in TINY_CONFIG.items() if k != "dataset"}),
+    )
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_outputs_byte_identical_across_jobs(tmp_path, dtype, seed):
@@ -89,23 +103,27 @@ class TestJobs:
     def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
         asked = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
                 asked.append(max_workers)
+                super().__init__(max_workers, **kwargs)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(sweep, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sweep, "run_cell", fake_row)
         outcome = run_sweep(two_cell_spec(), str(tmp_path), jobs=10**6)
         assert asked == [2] and len(outcome.rows) == 2
+
+    def test_without_fork_cells_run_serially(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        spec = tiny_spec()
+        run_sweep(spec, str(tmp_path / "jobs1"), jobs=1)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        outcome = run_sweep(spec, str(tmp_path / "jobs2"), jobs=2)
+        assert not outcome.failures
+        assert tree_bytes(tmp_path / "jobs2") == tree_bytes(tmp_path / "jobs1")
 
 
 class TestFailures:
@@ -121,6 +139,64 @@ class TestFailures:
             (0.0, "symile", 0, "RuntimeError: cell 0.0"),
             (1.0, "symile", 0, "RuntimeError: cell 1.0"),
         ]
+
+
+def raising_cell(spec, p_hat, objective, seed, out_dir):
+    raise RuntimeError(f"cell {p_hat}")
+
+
+def dying_cell(spec, p_hat, objective, seed, out_dir):
+    """The worker running the p_hat=0 cell dies without a word."""
+    if p_hat == 0.0:
+        os._exit(9)
+    time.sleep(0.5)  # still running when the pool breaks
+    return fake_row(spec, p_hat, objective, seed, out_dir)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("cell", [fake_row, raising_cell, dying_cell],
+                             ids=["returns", "raises", "dies"])
+    def test_no_worker_outlives_the_sweep(self, tmp_path, monkeypatch, cell):
+        monkeypatch.setattr(sweep, "run_cell", cell)
+        outcome = run_sweep(two_cell_spec(), str(tmp_path), jobs=2)
+        assert len(outcome.rows) + len(outcome.failures) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_fails_its_cells_without_hanging(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep, "run_cell", dying_cell)
+        spec = SweepSpec(p_hat_grid=(0.0, 0.5, 1.0), objectives=("symile",), dims=1)
+        done = []
+        worker = threading.Thread(
+            target=lambda: done.append(run_sweep(spec, str(tmp_path), jobs=2)), daemon=True
+        )
+        start = time.monotonic()
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and done, "run_sweep hung after a worker died"
+        assert time.monotonic() - start < 30
+        (outcome,) = done
+        failed = [f[0] for f in outcome.failures]
+        assert failed[0] == 0.0 and failed == sorted(failed)
+        assert all(f[3].startswith("BrokenProcessPool: ") for f in outcome.failures)
+        assert len(outcome.rows) + len(failed) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_resume_rewrites_no_cell(self, tmp_path):
+        spec, out = tiny_spec(), tmp_path / "sweep"
+        first = run_sweep(spec, str(out), jobs=2)
+        assert not first.failures and len(first.rows) == 2
+        csv = (out / "accuracy.csv").read_bytes()
+        stats = {}
+        for path in (out / "cells").rglob("*"):
+            if path.is_file():
+                st = path.stat()
+                stats[path] = (st.st_mtime_ns, st.st_size)
+        assert len(stats) == 4  # result and checkpoint per cell
+        time.sleep(0.01)  # a rewrite would show in the mtimes
+        again = run_sweep(spec, str(out), jobs=2)
+        assert again.rows == first.rows and not again.failures
+        assert {p: (p.stat().st_mtime_ns, p.stat().st_size) for p in stats} == stats
+        assert (out / "accuracy.csv").read_bytes() == csv
 
 
 class TestAtomicResult:
