@@ -79,7 +79,10 @@ def recover_optimal_scorer(
     """Fit a free score per joint state by stochastic gradient on the
     multi-sample contrastive objective, on ``_BATCHES_PER_STEP`` batches
     per step of the bound's own sampler (``oracle.contrastive_sampler``),
-    with one group per variable and the first anchoring.
+    with one group per variable and the first anchoring.  Where the
+    sampler returns counts (the non-anchor product has fewer than n - 1
+    states), the softmax weights each negative column's exponential by
+    its count, and so does the gradient scattered onto the states.
 
     The learned scores on the final 25% of steps are tail-averaged to
     damp optimizer jitter before comparison with the exact log ratio.
@@ -103,13 +106,14 @@ def recover_optimal_scorer(
     tail_start = steps - max(1, steps // 4)
     tail_sum = np.zeros_like(g_scores)
     tail_count = 0
+    targets = np.zeros(_BATCHES_PER_STEP, dtype=np.int64)
     for step in range(steps):
-        pos, neg = draw(rng, _BATCHES_PER_STEP, n)
+        pos, neg, counts = draw(rng, _BATCHES_PER_STEP, n)
         tuple_idx = np.column_stack([pos, neg])
         logits = g_scores[tuple_idx]
-        losses, grad_logits = row_softmax_cross_entropy(
-            logits, np.zeros(_BATCHES_PER_STEP, dtype=np.int64)
-        )
+        if counts is not None:
+            counts = np.column_stack([np.ones_like(pos), counts])
+        losses, grad_logits = row_softmax_cross_entropy(logits, targets, counts)
         loss = float(losses.mean())
         if initial_loss is None:
             initial_loss = loss
@@ -158,6 +162,9 @@ def bound_tightness_report(
     group per variable."""
     if not n_list:
         raise ValueError("n_list must be nonempty")
+    bad = [n for n in n_list if n < 1]
+    if bad:
+        raise ValueError(f"batch size must be >= 1, got {bad[0]}")
     groups = tuple((name,) for name in table.var_names)
     scorer = optimal_scorer(table, groups)
     tc = total_correlation(table, groups)

@@ -73,21 +73,30 @@ def encode(encoder: AffineEncoder, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def row_softmax_cross_entropy(
-    logits: np.ndarray, targets: np.ndarray
+    logits: np.ndarray, targets: np.ndarray, counts: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized per-row CE and gradient for a (N, K) logit matrix.
 
     Logits more than the float range below their row's max shift to -inf,
     whose exp is the exact 0, so such a target's loss is +inf.
+
+    With ``counts``, non-negative integers of the logits' shape, entry
+    (i, j) stands for ``counts[i, j]`` equal logits: its exponential is
+    weighted by the count, and its gradient is the sum over those copies.
+    An entry of count 0 takes no part, not even in the row max.  A row's
+    loss is the cross-entropy of one copy of its target.
     """
     if not np.all(np.isfinite(logits)):
         raise NonFiniteError("logits must be finite")
     rows = np.arange(logits.shape[0])
-    maxes = logits.max(axis=1, keepdims=True)
+    live = logits if counts is None else np.where(counts > 0, logits, -np.inf)
+    maxes = live.max(axis=1, keepdims=True)
     with np.errstate(over="ignore"):
         target_shifted = logits[rows, targets] - maxes[:, 0]
-        p = logits - maxes
+        p = live - maxes
     np.exp(p, out=p)
+    if counts is not None:
+        p *= counts
     sums = p.sum(axis=1, keepdims=True)
     losses = np.log(sums[:, 0]) - target_shifted
     p /= sums

@@ -9,6 +9,14 @@ table (the log density ratio of the joint to the product of group
 marginals) and a Monte-Carlo evaluator of the multi-sample contrastive
 lower bound on total correlation that the training objective optimizes.
 
+The bound's batches come from ``contrastive_sampler``.  A batch's softmax
+denominator depends only on how many of its n - 1 negatives land on each
+non-anchor state, so when the product of the non-anchor group marginals
+has Q < n - 1 states the sampler draws one multinomial count vector over
+those Q states per batch instead of n - 1 separate negatives: the same
+distribution at O(Q) cost and memory.  Otherwise it draws the negatives
+one by one.  The choice depends only on the table and on n.
+
 Conventions
 -----------
 * All information quantities are in nats.
@@ -333,31 +341,57 @@ def _sample_from(cumulative: np.ndarray, rng: np.random.Generator, size) -> np.n
 
 def contrastive_sampler(
     table: JointTable, groups: Sequence[Sequence[str]], anchor: int
-) -> Callable[[np.random.Generator, int, int], tuple[np.ndarray, np.ndarray]]:
+) -> Callable[
+    [np.random.Generator, int, int], tuple[np.ndarray, np.ndarray, np.ndarray | None]
+]:
     """The batch sampler of the contrastive bound, as ``draw(rng, k, n)``.
 
-    ``draw`` returns the flat states of ``k`` batches of ``n`` tuples: the
-    positives, shape (k,), drawn from the joint, and the negatives, shape
-    (k, n - 1), each of which reuses its positive's anchor group and draws
-    every other group independently from its marginal.  The uniforms come
-    from ``rng`` in that order: the positives, then one (k, n - 1) block
-    per non-anchor group.
+    ``draw`` returns ``(pos, neg, counts)`` for ``k`` batches of ``n``
+    tuples.  ``pos``, shape (k,), holds the positives' flat states, drawn
+    from the joint.  Every negative reuses its positive's anchor group and
+    draws every other group independently from its marginal; column j of
+    ``neg`` stands for ``counts[:, j]`` such negatives.
+
+    * When the product of the non-anchor marginals has Q < n - 1 states,
+      ``neg`` has shape (k, Q): each row lists all Q product states next
+      to its positive's anchor part, and ``counts``, shape (k, Q), is one
+      multinomial draw of n - 1 over the product's probabilities per row.
+      The uniforms for the positives come first, then the counts.
+    * Otherwise ``neg`` has shape (k, n - 1), one drawn negative per
+      column, and ``counts`` is None (every count is 1).  The uniforms
+      come from ``rng`` in this order: the positives, then one
+      (k, n - 1) block per non-anchor group.
     """
     joint_cum = np.cumsum(table.probs)
     anchor_grid = _zeroed_index(table, groups[anchor])
     anchor_part = np.broadcast_to(anchor_grid, table.arities[::-1]).ravel()
     others = [
-        (np.cumsum(marginal(table, g).probs), _flat_over(table, _zeroed_index(table, g), g))
+        (marginal(table, g).probs, _flat_over(table, _zeroed_index(table, g), g))
         for i, g in enumerate(groups)
         if i != anchor
     ]
+    others_cum = [(np.cumsum(probs), contribution) for probs, contribution in others]
+    # The non-anchor product: its probabilities and each state's part of
+    # the flat index.  It has at most as many states as the table.
+    product_q = np.ones(1)
+    product_part = np.zeros(1, dtype=np.int64)
+    for probs, contribution in others:
+        product_q = np.multiply.outer(product_q, probs).ravel()
+        product_part = np.add.outer(product_part, contribution).ravel()
+    product_q /= product_q.sum()  # multinomial rejects a sum over 1 + 1e-12
 
-    def draw(rng: np.random.Generator, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def draw(
+        rng: np.random.Generator, k: int, n: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         pos = _sample_from(joint_cum, rng, k)
-        neg = np.repeat(anchor_part[pos][:, None], n - 1, axis=1)
-        for cumulative, contribution in others:
+        pos_anchor = anchor_part[pos][:, None]
+        if product_q.size < n - 1:
+            counts = rng.multinomial(n - 1, product_q, size=k)
+            return pos, pos_anchor + product_part, counts
+        neg = np.repeat(pos_anchor, n - 1, axis=1)
+        for cumulative, contribution in others_cum:
             neg += contribution[_sample_from(cumulative, rng, (k, n - 1))]
-        return pos, neg
+        return pos, neg, None
 
     return draw
 
@@ -374,12 +408,18 @@ def bound_value(
     over the scorer's groups.
 
     Each sample is one batch of ``contrastive_sampler``: a positive tuple
-    from the joint and ``n - 1`` negatives.  The estimate is ``log n``
-    plus the mean log-probability that the scorer's softmax assigns to the
+    from the joint and ``n - 1`` negatives, as drawn tuples or as counts
+    over the non-anchor product's states.  The estimate is ``log n`` plus
+    the mean log-probability that the scorer's softmax assigns to the
     positive; the second return value is the standard error of the mean.
+    Memory per chunk of samples is bounded by about 2**20 scores, so a
+    huge ``n`` costs O(Q) per sample when the product has Q < n - 1
+    states.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
+    if n - 1 > np.iinfo(np.int64).max:  # the negatives' count is an int64
+        raise ValueError(f"batch size must be <= 2**63, got {n}")
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
     groups = [_check_subset(table, g, "group") for g in scorer.groups]
@@ -388,22 +428,36 @@ def bound_value(
 
     rng = substream(seed, "bound", anchor, n)
     draw = contrastive_sampler(table, groups, anchor)
+    # The sampler's negative columns per sample: n - 1 draws, or the Q
+    # non-anchor product states when it draws counts.
+    product_states = math.prod(
+        table.arities[table._index(name)]
+        for i, g in enumerate(groups)
+        if i != anchor
+        for name in g
+    )
+    chunk = max(1, (1 << 20) // (1 + min(n - 1, product_states)))
     total = 0.0
     total_sq = 0.0
     done = 0
-    chunk = max(1, (1 << 20) // n)
     while done < mc_samples:
         k = min(chunk, mc_samples - done)
-        pos, neg = draw(rng, k, n)
+        pos, neg, counts = draw(rng, k, n)
         pos_scores = scorer.scores[pos]
         neg_scores = scorer.scores[neg]
+        if counts is not None:  # a column no negative landed on takes no part
+            neg_scores = np.where(counts > 0, neg_scores, -np.inf)
 
-        # log softmax of the positive among the n tuples; the positive's
-        # score is finite, so the row max is finite even when negatives
-        # land on zero-mass states.
+        # log softmax of the positive among the n tuples, each negative
+        # column's exponential weighted by its count; the positive's score
+        # is finite, so the row max is finite even when negatives land on
+        # zero-mass states.
         row_max = np.maximum(pos_scores, neg_scores.max(axis=1, initial=-np.inf))
         neg_scores -= row_max[:, None]
-        denom = np.exp(pos_scores - row_max) + np.exp(neg_scores, out=neg_scores).sum(axis=1)
+        np.exp(neg_scores, out=neg_scores)
+        if counts is not None:
+            neg_scores *= counts
+        denom = np.exp(pos_scores - row_max) + neg_scores.sum(axis=1)
         vals = pos_scores - (row_max + np.log(denom))
         total += vals.sum()
         total_sq += (vals * vals).sum()

@@ -9,7 +9,9 @@ readable result file of the same spec are skipped; any other result file
 is recomputed and replaced.  Failed cells are reported at the end,
 in grid order, without discarding completed ones.
 
-Cells run in up to ``jobs`` worker processes.  Each cell draws its
+Cells without a trusted result run in up to ``jobs`` worker processes;
+the calling process reads the finished ones, and builds no pool when
+fewer than two cells are left to run.  Each cell draws its
 randomness from substreams of its own seed and writes only its own
 directory, so every output is byte-identical across ``jobs``.  Workers
 are forked, not spawned: they inherit the imported modules, so a sweep
@@ -263,12 +265,20 @@ def run_sweep(spec: SweepSpec, out_dir: str, jobs: int = 1) -> SweepOutcome:
         for obj in spec.objectives
         for seed in spec.seeds
     ]
-    workers = min(jobs, len(cells))
-    outcomes = _run_forked(spec, out_dir, cells, workers) if workers > 1 else None
-    if outcomes is None:  # one worker, or no fork on this platform
-        outcomes = [_run_one(spec, out_dir, c) for c in cells]
-
     sweep_hash = spec.hash()
+    # Only cells without a trusted result go to the pool; the parent reads
+    # the finished ones, so a resume with under two cells left forks nothing.
+    pending = [
+        c
+        for c in cells
+        if _stored_result(os.path.join(_cell_dir(out_dir, spec, *c), "result.json"), sweep_hash)
+        is None
+    ]
+    workers = min(jobs, len(pending))
+    forked = _run_forked(spec, out_dir, pending, workers) if workers > 1 else None
+    done = dict(zip(pending, forked)) if forked is not None else {}
+    outcomes = [done[c] if c in done else _run_one(spec, out_dir, c) for c in cells]
+
     seed0 = spec.seeds[0]
     accuracy_csv = os.path.join(out_dir, "accuracy.csv")
     rows = [row for row, _ in outcomes if row is not None]

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from symile import cli
+from symile import cli, oracle
 from symile.cli import main
 from symile.train import load_checkpoint
 
@@ -332,6 +332,38 @@ class TestDiagnoseCommand:
         assert len(lines) == 2 + 3
         for line in lines[2:]:
             assert line.split(",")[-1] == "1"
+
+    def test_bound_at_huge_n_stays_small(self, tmp_path, monkeypatch):
+        # n - 1 = 999,999,999 negatives fall on the XOR table's 4 product
+        # states as counts.  A per-draw regression would ask for a billion
+        # uniforms; the guard fails it before anything is allocated.
+        real = oracle._sample_from
+
+        def guarded(cumulative, rng, size):
+            assert math.prod(np.atleast_1d(size)) <= 10**6, f"asked for {size} uniforms"
+            return real(cumulative, rng, size)
+
+        monkeypatch.setattr(oracle, "_sample_from", guarded)
+        out = str(tmp_path / "bound.csv")
+        # one sample has a standard error of 0, so its pass column is a coin flip
+        assert main(["diagnose", "--check", "bound", "--n-list", "1000000000",
+                     "--mc-samples", "1", "--out", out]) in (0, 3)
+        (row,) = read_lines(out)[2:]
+        check, n, bound = row.split(",")[:3]
+        assert (check, n) == ("bound", "1000000000")
+        assert float(bound) == pytest.approx(math.log(2.0), abs=1e-3)
+
+    @pytest.mark.parametrize("n_list,message", [
+        ("-3", "batch size must be >= 1, got -3"),
+        ("2,-3", "batch size must be >= 1, got -3"),
+        (str(10**20), f"batch size must be <= 2**63, got {10**20}"),
+    ])
+    def test_bad_batch_size_named_exit_2(self, tmp_path, capsys, n_list, message):
+        out = tmp_path / "bound.csv"
+        assert main(["diagnose", "--check", "bound", "--n-list", n_list,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_unknown_check_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

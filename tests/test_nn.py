@@ -120,6 +120,23 @@ class TestSoftmaxCrossEntropy:
             assert losses[i] == pytest.approx(loss_i, abs=1e-12)
             np.testing.assert_allclose(grads[i], grad_i, atol=1e-12)
 
+    def test_counts_match_repeated_columns(self):
+        # A column with count c is c copies of its logit: the loss is the
+        # expanded row's, and the gradient sums the copies'.  A count-0
+        # column with a huge logit takes no part, not even in the max.
+        rng = np.random.default_rng(4)
+        logits = rng.standard_normal((3, 5))
+        logits[1, 4] = 1e4
+        counts = np.array([[1, 0, 2, 3, 1], [1, 2, 0, 1, 0], [1, 1, 1, 1, 1]])
+        losses, grads = row_softmax_cross_entropy(logits.copy(), np.zeros(3, int), counts)
+        for i in range(3):
+            expanded = np.repeat(logits[i], counts[i])
+            e = np.exp(expanded)
+            assert losses[i] == pytest.approx(np.log(e.sum()) - logits[i, 0], abs=1e-12)
+            grad = e / e.sum() - np.eye(expanded.size)[0]
+            owner = np.repeat(np.arange(5), counts[i])
+            np.testing.assert_allclose(grads[i], np.bincount(owner, grad, minlength=5), atol=1e-12)
+
 
 class TestAdamW:
     def test_zero_grad_no_decay_is_noop(self):

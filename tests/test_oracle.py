@@ -392,7 +392,7 @@ class TestMixedArities:
     @pytest.mark.parametrize("anchor", [0, 1])
     def test_sampler_out_of_order_groups(self, table, anchor):
         draw = contrastive_sampler(table, self.GROUPS, anchor)
-        pos, neg = draw(np.random.default_rng(5), 4000, 5)
+        pos, neg, _ = draw(np.random.default_rng(5), 4000, 5)
         assert pos.shape == (4000,) and neg.shape == (4000, 4)
         pos_vals = np.array([decode(s, table.arities) for s in pos])  # columns x, y, z
         neg_vals = np.array([decode(s, table.arities) for s in neg.ravel()]).reshape(4000, 4, 3)
@@ -409,3 +409,144 @@ class TestMixedArities:
         freq = freq / sub.shape[0]
         se = np.sqrt(expected * (1.0 - expected) / sub.shape[0])
         assert np.all(np.abs(freq - expected) <= 4.0 * se)
+
+    @pytest.mark.parametrize("anchor", [0, 1])
+    def test_sampler_counts(self, table, anchor):
+        # Q, the non-anchor product's state count, is 6 at anchor 0 (the
+        # product is over y, x) and 4 at anchor 1 (over z).  At n - 1 == Q
+        # the sampler draws negatives one by one; above it, counts.
+        q_states = (6, 4)[anchor]
+        draw = contrastive_sampler(table, self.GROUPS, anchor)
+        pos, neg, counts = draw(np.random.default_rng(6), 10, q_states + 1)
+        assert counts is None and neg.shape == (10, q_states)
+
+        k, n = 4000, 3 * q_states
+        pos, neg, counts = draw(np.random.default_rng(7), k, n)
+        assert pos.shape == (k,) and neg.shape == counts.shape == (k, q_states)
+        np.testing.assert_array_equal(counts.sum(axis=1), n - 1)
+        assert counts.min() >= 0
+
+        pos_vals = np.array([decode(s, table.arities) for s in pos])  # columns x, y, z
+        neg_vals = np.array([decode(s, table.arities) for s in neg.ravel()])
+        neg_vals = neg_vals.reshape(k, q_states, 3)
+        columns = {"x": 0, "y": 1, "z": 2}
+        anchor_cols = [columns[v] for v in self.GROUPS[anchor]]
+        np.testing.assert_array_equal(
+            neg_vals[:, :, anchor_cols],
+            np.repeat(pos_vals[:, None, anchor_cols], q_states, axis=1),
+        )
+
+        # Every row lists the same Q product states; a column's total count
+        # over k rows is Binomial(k (n - 1), its product mass).
+        other = self.GROUPS[1 - anchor]
+        expected, arities = self.brute_marginal(table, other)
+        sub = neg_vals[:, :, [columns[v] for v in other]]
+        state = [flat_index(v, arities) for v in sub[0]]
+        assert sorted(state) == list(range(q_states))
+        for row in sub[1:50]:
+            assert [flat_index(v, arities) for v in row] == state
+        trials = k * (n - 1)
+        freq = counts.sum(axis=0) / trials
+        p = expected[state]
+        assert np.all(np.abs(freq - p) <= 4.0 * np.sqrt(p * (1.0 - p) / trials))
+
+    def test_count_path_matches_exact_expectation(self, table):
+        # anchor 1: the non-anchor product is z alone, Q = 4 < n - 1 = 8
+        scorer = optimal_scorer(table, self.GROUPS)
+        exact = exact_bound(table, scorer.scores, self.GROUPS, 1, 9)
+        est, se = bound_value(table, scorer, 9, 100_000, seed=41, anchor=1)
+        assert abs(est - exact) <= 3 * se
+
+
+def compositions(total, parts):
+    """Every tuple of ``parts`` non-negative integers summing to ``total``
+    (stars and bars), as rows of an array."""
+    rows = []
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        edges = (-1,) + bars + (total + parts - 1,)
+        rows.append([edges[i + 1] - edges[i] - 1 for i in range(parts)])
+    return np.array(rows)
+
+
+def exact_bound(table, scores, groups, anchor, n):
+    """E[bound] at batch size n by enumeration, for any scorer: a sum over
+    the positive state and over the multinomial compositions of the n - 1
+    negatives into the states of the non-anchor groups' product.  Plain
+    loops over assignments; nothing from the sampler is reused."""
+    names = table.var_names
+    other = [v for i, g in enumerate(groups) if i != anchor for v in g]
+    assignments = list(itertools.product(*(range(a) for a in table.arities)))
+    group_marginals = []
+    for i, g in enumerate(groups):
+        if i != anchor:
+            marg = {}
+            for values in assignments:
+                key = tuple(values[names.index(v)] for v in g)
+                marg[key] = marg.get(key, 0.0) + table.probs[flat_index(values, table.arities)]
+            group_marginals.append(sorted(marg.items()))
+    # the product of the non-anchor group marginals, one entry per combination
+    combos, q = [], []
+    for parts in itertools.product(*group_marginals):
+        combos.append(sum((key for key, _ in parts), ()))
+        q.append(math.prod(p for _, p in parts))
+    q = np.array(q)
+    comps = compositions(n - 1, len(q))
+    with np.errstate(divide="ignore"):
+        log_q = np.log(q)
+    log_coef = math.lgamma(n) - np.array([sum(math.lgamma(c + 1) for c in row) for row in comps])
+    log_weight = log_coef + np.where(comps > 0, comps * log_q, 0.0).sum(axis=1)
+    weight = np.exp(log_weight)
+
+    expectation = 0.0
+    for values in assignments:
+        p = table.probs[flat_index(values, table.arities)]
+        if p == 0.0:
+            continue
+        g_pos = scores[flat_index(values, table.arities)]
+        neg = []
+        for combo in combos:
+            swapped = list(values)
+            for v, x in zip(other, combo):
+                swapped[names.index(v)] = x
+            neg.append(scores[flat_index(swapped, table.arities)])
+        denom = np.exp(g_pos) + comps @ np.exp(np.array(neg))
+        expectation += p * float(weight @ (g_pos - np.log(denom)))
+    return math.log(n) + expectation
+
+
+class TestCountPathAgainstExactExpectation:
+    """The count path's estimate (Q = 4 < n - 1 on the XOR table) against
+    exact expectations, within 3 standard errors at fixed seeds."""
+
+    @pytest.mark.parametrize("n,seed", [(8, 51), (32, 52)])
+    def test_xor_optimal_scorer(self, n, seed):
+        t = build_xor1d_table()
+        g = optimal_scorer(t, GROUPS3)
+        exact = exact_bound(t, g.scores, GROUPS3, 0, n)
+        # the closed form log n - E[log(1 + K)], K ~ Binomial(n - 1, 1/2)
+        closed = math.log(n) - sum(
+            math.comb(n - 1, k) * 0.5 ** (n - 1) * math.log(1 + k) for k in range(n)
+        )
+        assert exact == pytest.approx(closed, abs=1e-12)
+        est, se = bound_value(t, g, n, 100_000, seed=seed)
+        assert abs(est - exact) <= 3 * se
+
+    @pytest.mark.parametrize("n,seed", [(8, 53), (32, 54)])
+    def test_xor_random_scorer(self, n, seed):
+        from symile.oracle import TabularScorer
+
+        t = build_xor1d_table()
+        g = TabularScorer(np.random.default_rng(seed).standard_normal(8), GROUPS3)
+        exact = exact_bound(t, g.scores, GROUPS3, 0, n)
+        est, se = bound_value(t, g, n, 100_000, seed=seed)
+        assert abs(est - exact) <= 3 * se
+
+    def test_xor_n128_closed_form(self):
+        t = build_xor1d_table()
+        g = optimal_scorer(t, GROUPS3)
+        n = 128
+        exact = math.log(n) - sum(
+            math.comb(n - 1, k) * 0.5 ** (n - 1) * math.log(1 + k) for k in range(n)
+        )
+        est, se = bound_value(t, g, n, 100_000, seed=55)
+        assert abs(est - exact) <= 3 * se

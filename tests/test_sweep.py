@@ -65,6 +65,20 @@ def tiny_spec():
     )
 
 
+@pytest.fixture()
+def pools(monkeypatch):
+    """The worker count of every process pool a sweep builds."""
+    asked = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return asked
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_outputs_byte_identical_across_jobs(tmp_path, dtype, seed):
@@ -100,18 +114,28 @@ class TestJobs:
         assert capsys.readouterr().err.startswith("error: jobs must be at least 1")
         assert not out.exists()
 
-    def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
-        asked = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                asked.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch, pools):
         monkeypatch.setattr(sweep, "run_cell", fake_row)
         outcome = run_sweep(two_cell_spec(), str(tmp_path), jobs=10**6)
-        assert asked == [2] and len(outcome.rows) == 2
+        assert pools == [2] and len(outcome.rows) == 2
+
+    def test_resume_forks_only_for_unfinished_cells(self, tmp_path, pools):
+        spec, out = tiny_spec(), tmp_path / "sweep"
+        first = run_sweep(spec, str(out), jobs=1)
+        files = {p: p.stat().st_mtime_ns for p in (out / "cells").rglob("*") if p.is_file()}
+        assert len(files) == 4  # result and checkpoint per cell
+        time.sleep(0.01)  # a rewrite would show in the mtimes
+        assert run_sweep(spec, str(out), jobs=2).rows == first.rows
+        assert pools == []
+
+        lost = sorted((out / "cells").glob("*/result.json"))[0]
+        good = lost.read_bytes()
+        lost.unlink()
+        assert run_sweep(spec, str(out), jobs=2).rows == first.rows
+        assert pools == []  # one cell left to run needs no pool
+        assert lost.read_bytes() == good
+        rewritten = {p for p, mtime in files.items() if p.stat().st_mtime_ns != mtime}
+        assert rewritten == {lost, lost.parent / "checkpoint.json"}
 
     def test_without_fork_cells_run_serially(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
