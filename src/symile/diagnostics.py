@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import calibrated_conditional, rank_with_prior
-from .model import init_params, flatten_params, loss_and_grads, unflatten_params
+from .model import init_params, flatten_params, input_states, loss_and_grads, unflatten_params
 from .nn import (
     GradCheckReport,
     adamw_step,
@@ -226,9 +226,9 @@ def run_gradient_check(
     for case in range(n_configs):
         spec = _random_case(rng, case)
         names = [f"m{i}" for i in range(spec["m"])]
-        inputs = {
+        inputs = input_states({
             name: rng.standard_normal((spec["n"], spec["d_in"])) for name in names
-        }
+        })
         params = init_params(
             {name: spec["d_in"] for name in names},
             spec["d_out"],

@@ -5,6 +5,11 @@ The parameter layout is fixed so the optimizer and the finite-difference
 checker can treat the model as a flat list of arrays:
 ``[W_m1, b_m1, W_m2, b_m2, ..., log_scale]`` in modality order, with the
 one-entry log-scale (temperature) array last and exempt from weight decay.
+
+The loss takes each modality's inputs as (distinct input rows, the state
+of every row).  ``input_states`` finds them by sorting rows as bytes;
+training runs it once per split, and ``batch_states`` then gives a batch
+its states by lookup, bitwise equal to ``input_states`` of its rows.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from .objectives import pairwise_clip_loss_grads, symile_loss_grads
 from .rng import substream
 
 OBJECTIVES = ("symile", "pairwise_clip")
+
+# Per modality: (distinct input rows, the state of every row).
+States = Mapping[str, tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -92,21 +100,41 @@ def unflatten_params(template: ModelParams, arrays: Sequence[np.ndarray]) -> Mod
     return ModelParams(encoders, next(it))
 
 
-def _input_states(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first row of each distinct input row, state of every row).
+def input_states(inputs: Mapping[str, np.ndarray]) -> States:
+    """Each modality's (distinct input rows, state of every row).
 
     Rows are compared as raw bytes, which can split rows that are equal in
-    value (0.0 and -0.0) but never merges rows that differ.
+    value (0.0 and -0.0) but never merges rows that differ.  The distinct
+    rows come in the order of their bytes, as ``np.unique`` sorts them.
     """
-    x = np.ascontiguousarray(x)
-    keys = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).ravel()
-    _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
-    return first, rows
+    out = {}
+    for name, x in inputs.items():
+        x = np.ascontiguousarray(x)
+        keys = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).ravel()
+        _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+        out[name] = (x[first], rows)
+    return out
+
+
+def batch_states(split: States, idx: np.ndarray | slice) -> States:
+    """``input_states`` of the rows ``idx`` of the inputs ``split`` was
+    made from, bitwise, by a lookup in O(batch + split states).
+
+    A batch's states are the split's states that it holds, in the split's
+    order, which is the byte order ``input_states`` would give them.
+    """
+    out = {}
+    for name, (distinct, rows) in split.items():
+        r = rows[idx]
+        present = np.zeros(distinct.shape[0], bool)
+        present[r] = True
+        out[name] = (distinct[present], (np.cumsum(present) - 1)[r])
+    return out
 
 
 def loss_and_grads(
     params: ModelParams,
-    inputs: Mapping[str, np.ndarray],
+    states: States,
     objective: str,
     strategy: str = "on",
     seed: int | None = None,
@@ -114,25 +142,24 @@ def loss_and_grads(
 ) -> tuple[float, dict[str, float], list[np.ndarray]]:
     """(loss, per-term breakdown, gradients in ``flatten_params`` order).
 
-    Each modality's encoder runs once per distinct input row, and the loss
-    scores the distinct states with their counts; the backward passes of
-    the normalization and the encoder are linear in the representation
+    ``states[m]`` holds modality m's distinct input rows and the state of
+    every batch row, as ``input_states`` and ``batch_states`` give them.
+    Each encoder runs once per distinct input row, and the loss scores the
+    distinct states with their counts; the backward passes of the
+    normalization and the encoder are linear in the representation
     gradient, so summing it over a state's rows first is exact.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     names = params.names
-    if set(inputs) != set(names):
-        raise ValueError(f"inputs {sorted(inputs)} do not match modalities {names}")
+    if set(states) != set(names):
+        raise ValueError(f"inputs {sorted(states)} do not match modalities {names}")
 
-    distinct: dict[str, np.ndarray] = {}
-    rows: dict[str, np.ndarray] = {}
+    rows = {name: states[name][1] for name in names}
     norms: dict[str, np.ndarray | None] = {}
     reps: dict[str, np.ndarray] = {}
     for name in names:
-        first, rows[name] = _input_states(inputs[name])
-        distinct[name] = inputs[name][first]
-        reps[name], norms[name] = encode(params.encoders[name], distinct[name])
+        reps[name], norms[name] = encode(params.encoders[name], states[name][0])
 
     scale = params.scale()
     if objective == "symile":
@@ -147,6 +174,6 @@ def loss_and_grads(
     for name in names:
         d_r = d_reps[name]
         d_z = d_r if norms[name] is None else normalize_rows_backward(reps[name], norms[name], d_r)
-        grads.extend([d_z.T @ distinct[name], d_z.sum(axis=0)])
+        grads.extend([d_z.T @ states[name][0], d_z.sum(axis=0)])
     grads.append(np.array([d_scale * scale]))  # d loss / d log_scale
     return loss, breakdown, grads

@@ -25,11 +25,15 @@ the N x K scores shrink to U x Q.  The optional ``rows`` index maps every
 batch row to its state; ``None`` gives every row its own state (the
 continuous case, same code).  The model groups rows whose raw encoder
 inputs are equal byte for byte, which can split rows equal in value (0.0
-and -0.0) but never merges rows that differ, so grouping is exact.  For
-"on", row i drops one copy of its column's tuple and gains its positive.
-The dropped term is subtracted only where it is at most half its state's
-sum; a row whose column holds more is computed alone, with its own shift,
-so nothing cancels.  Blocks of anchor states of about 2^18 scores bound
+and -0.0) but never merges rows that differ, so grouping is exact; it
+finds a split's states once and each batch's by lookup.  The distinct
+non-anchor state tuples are numbered by a lookup over the product of the
+state counts when that range is small next to the batch, and sorted
+otherwise, in the same order either way.  For "on", row i drops one copy
+of its column's tuple and gains its positive.  The dropped term is
+subtracted only where it is at most half its state's sum; a row whose
+column holds more is computed alone, with its own shift, so nothing
+cancels.  Blocks of anchor states of about 2^18 scores bound
 the working memory to a few blocks plus O((N + Q) D), also when every
 state is distinct; "on2" forms no (Q, D) grid of the non-anchor pairs.
 """
@@ -92,6 +96,20 @@ def _scatter_rows(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarra
     d = values.shape[1]
     flat = (index[:, None] * d + np.arange(d)).ravel()
     return np.bincount(flat, values.ravel(), size * d).reshape(size, d)
+
+
+def _unique_inverse(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of integer keys in [0, size).
+
+    A key range no larger than 8x the key count is numbered by a flag and
+    a cumulative sum over its slots, in O(keys + size) and in the same
+    sorted order; a wider range is sorted.
+    """
+    if size > 8 * keys.size:
+        return np.unique(keys, return_inverse=True)
+    present = np.zeros(size, bool)
+    present[keys] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
 
 
 def _shifted_logits(raw: np.ndarray, scale: float, unused: np.ndarray | None) -> tuple:
@@ -217,15 +235,17 @@ def _anchored_on_loss(
     tuples = [np.concatenate([r[p], r]) for r, p in zip(o_rows, perms)]
     ids, table = tuples[0], others[0]
     if len(others) > 1:
+        size = others[0].shape[0]
         for t, o in zip(tuples[1:], others[1:]):
-            _, ids = np.unique(ids * o.shape[0] + t, return_inverse=True)
+            distinct, ids = _unique_inverse(ids * o.shape[0] + t, size * o.shape[0])
+            size = distinct.size
         # a row of each tuple: any occurrence holds the same states
-        first = np.zeros(ids.max() + 1, np.intp)
+        first = np.zeros(size, np.intp)
         first[ids] = np.arange(ids.size)
         states = [t[first] for t in tuples]
         parts = [o[s] for o, s in zip(others, states)]
         table = functools.reduce(np.multiply, parts)
-        used, cols = np.unique(ids[:n], return_inverse=True)
+        used, cols = _unique_inverse(ids[:n], size)
     else:  # the table is the other modality's states; unused ones get count 0
         used, cols = slice(None), ids[:n]
     cand, matched = table[used], ids[n:]

@@ -305,18 +305,23 @@ class TabularScorer:
         object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
 
 
+def _check_groups(table: JointTable, groups: Sequence[Sequence[str]]) -> list[tuple[str, ...]]:
+    """The groups as name tuples; ValueError unless they are disjoint
+    nonempty variable subsets that cover every variable of the table."""
+    groups = [_check_subset(table, g, "group") for g in groups]
+    _check_disjoint(groups)
+    if {n for g in groups for n in g} != set(table.var_names):
+        raise ValueError("groups must cover every variable of the table")
+    return groups
+
+
 def optimal_scorer(table: JointTable, groups: Sequence[Sequence[str]]) -> TabularScorer:
     """The bound-maximizing scorer: log p(state) / prod_m p_m(group state).
 
     The additive constant is fixed to zero; downstream checks compare
     scorers only up to an additive constant.
     """
-    groups = [_check_subset(table, g, "group") for g in groups]
-    _check_disjoint(groups)
-    covered = {n for g in groups for n in g}
-    if covered != set(table.var_names):
-        raise ValueError("groups must cover every variable of the table")
-
+    groups = _check_groups(table, groups)
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.log(table.probs.reshape(table.arities[::-1]))
         for g in groups:
@@ -361,7 +366,10 @@ def contrastive_sampler(
       column, and ``counts`` is None (every count is 1).  The uniforms
       come from ``rng`` in this order: the positives, then one
       (k, n - 1) block per non-anchor group.
+
+    ValueError unless the groups are disjoint and cover every variable.
     """
+    groups = _check_groups(table, groups)
     joint_cum = np.cumsum(table.probs)
     anchor_grid = _zeroed_index(table, groups[anchor])
     anchor_part = np.broadcast_to(anchor_grid, table.arities[::-1]).ravel()
@@ -422,7 +430,7 @@ def bound_value(
         raise ValueError(f"batch size must be <= 2**63, got {n}")
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
-    groups = [_check_subset(table, g, "group") for g in scorer.groups]
+    groups = _check_groups(table, scorer.groups)
     if not 0 <= anchor < len(groups):
         raise ValueError(f"anchor index {anchor} out of range")
 

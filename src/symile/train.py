@@ -22,8 +22,11 @@ from .errors import DivergenceError, NonFiniteError, SchemaError
 from .model import (
     ModelParams,
     OBJECTIVES,
+    States,
+    batch_states,
     flatten_params,
     init_params,
+    input_states,
     loss_and_grads,
     unflatten_params,
 )
@@ -138,21 +141,21 @@ def split_for_training(
 
 def _batched_loss(
     params: ModelParams,
-    inputs: dict[str, np.ndarray],
+    states: States,
     cfg: TrainConfig,
     seed: int,
 ) -> float:
-    """Mean loss over consecutive full batches (trailing batch < 2 dropped)."""
-    n = next(iter(inputs.values())).shape[0]
+    """Mean loss over consecutive full batches (trailing batch < 2 dropped)
+    of a split whose ``input_states`` are ``states``."""
+    n = next(iter(states.values()))[1].size
     losses = []
     for bi, start in enumerate(range(0, n, cfg.batch_size)):
         stop = min(start + cfg.batch_size, n)
         if stop - start < 2:
             break
-        batch = {m: x[start:stop] for m, x in inputs.items()}
         loss, _, _ = loss_and_grads(
             params,
-            batch,
+            batch_states(states, slice(start, stop)),
             cfg.objective,
             cfg.strategy,
             seed=derive_seed(seed, "batch", bi),
@@ -168,14 +171,15 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainResult:
 
     Each epoch visits seeded-shuffled minibatches in order (a trailing
     batch smaller than 2 is dropped), applies decoupled-weight-decay Adam
-    updates, then scores the validation split.
+    updates, then scores the validation split.  Each split's input states
+    are found once; a batch takes its own from them by lookup.
     """
     dtype = np.dtype(cfg.dtype)
-    train_inputs = {
-        m: x.astype(dtype) for m, x in encoder_inputs(train_ds).items()
-    }
-    val_inputs = {m: x.astype(dtype) for m, x in encoder_inputs(val_ds).items()}
-    dims = {m: x.shape[1] for m, x in train_inputs.items()}
+    train_states, val_states = (
+        input_states({m: x.astype(dtype) for m, x in encoder_inputs(ds).items()})
+        for ds in (train_ds, val_ds)
+    )
+    dims = {m: distinct.shape[1] for m, (distinct, _) in train_states.items()}
 
     params = init_params(
         dims,
@@ -201,11 +205,10 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainResult:
             idx = order[start : start + cfg.batch_size]
             if idx.size < 2:
                 break
-            batch = {m: x[idx] for m, x in train_inputs.items()}
             try:
                 loss, _, grads = loss_and_grads(
                     params,
-                    batch,
+                    batch_states(train_states, idx),
                     cfg.objective,
                     cfg.strategy,
                     seed=derive_seed(cfg.seed, "negatives", epoch, bi),
@@ -224,7 +227,7 @@ def train(cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset) -> TrainResult:
 
         try:
             val_loss = _batched_loss(
-                params, val_inputs, cfg, derive_seed(cfg.seed, "val", epoch)
+                params, val_states, cfg, derive_seed(cfg.seed, "val", epoch)
             )
         except NonFiniteError as exc:
             raise DivergenceError(f"diverged at epoch {epoch} validation: {exc}") from exc

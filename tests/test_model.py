@@ -9,9 +9,10 @@ from symile.diagnostics import run_gradient_check
 from symile.errors import DegenerateInputError
 from symile.model import (
     ModelParams,
-    _input_states,
     flatten_params,
+    batch_states,
     init_params,
+    input_states,
     loss_and_grads,
     unflatten_params,
 )
@@ -107,12 +108,15 @@ class TestFullModelGradients:
             if strategy == "on"
             else None
         )
-        _, _, analytic = loss_and_grads(params, inputs, objective, strategy, perms=perms)
+        _, _, analytic = loss_and_grads(
+            params, input_states(inputs), objective, strategy, perms=perms
+        )
         arrays, _ = flatten_params(params)
 
         def loss_fn(arrs):
             loss, _, _ = loss_and_grads(
-                unflatten_params(params, arrs), inputs, objective, strategy, perms=perms
+                unflatten_params(params, arrs), input_states(inputs), objective, strategy,
+                perms=perms,
             )
             return loss
 
@@ -126,7 +130,7 @@ class TestFullModelGradients:
         inputs = {k: rng.standard_normal((4, 2)) for k in names}
         params = init_params({k: 2 for k in names}, 3, seed=9)
         perms = {a: draw_anchor_perms(3, names, a, 4) for a in names}
-        _, _, grads = loss_and_grads(params, inputs, "symile", "on", perms=perms)
+        _, _, grads = loss_and_grads(params, input_states(inputs), "symile", "on", perms=perms)
         assert abs(grads[-1][0]) > 0.0
 
     def test_full_sweep_gradcheck(self):
@@ -139,18 +143,18 @@ class TestFullModelGradients:
         params = init_params({"a": 2, "b": 2}, 3, seed=0)
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError):
-            loss_and_grads(params, {"a": rng.random((4, 2))}, "symile", seed=0)
+            loss_and_grads(params, input_states({"a": rng.random((4, 2))}), "symile", seed=0)
         with pytest.raises(ValueError):
             loss_and_grads(
                 params,
-                {"a": rng.random((4, 3)), "b": rng.random((4, 2))},
+                input_states({"a": rng.random((4, 3)), "b": rng.random((4, 2))}),
                 "symile",
                 seed=0,
             )
         with pytest.raises(ValueError):
             loss_and_grads(
                 params,
-                {"a": rng.random((4, 2)), "b": rng.random((4, 2))},
+                input_states({"a": rng.random((4, 2)), "b": rng.random((4, 2))}),
                 "nope",
                 seed=0,
             )
@@ -189,11 +193,11 @@ class TestStateGrouping:
         if p_missing:
             data = apply_missingness(data, p_missing, 4)
         inputs = encoder_inputs(data)
-        assert all(_input_states(x)[0].size < 10 for x in inputs.values())
+        assert all(d.shape[0] < 10 for d, _ in input_states(inputs).values())
         params = init_params(
             {m: x.shape[1] for m, x in inputs.items()}, 5, seed=2, t_init=1.0
         )
-        loss, _, grads = loss_and_grads(params, inputs, objective, strategy, seed=7)
+        loss, _, grads = loss_and_grads(params, input_states(inputs), objective, strategy, seed=7)
         ref_loss, ref_grads = per_row_reference(params, inputs, objective, strategy, 7)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         for g, ref in zip(grads, ref_grads, strict=True):
@@ -201,6 +205,49 @@ class TestStateGrouping:
 
     def test_byte_states(self):
         x = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [-0.0, 1.0]])
-        first, rows = _input_states(x)
-        np.testing.assert_array_equal(x[first][rows], x)
+        ((distinct, rows),) = input_states({"x": x}).values()
+        np.testing.assert_array_equal(distinct[rows], x)
         assert rows[0] == rows[2] and rows[3] != rows[0]  # -0.0 splits, never merges
+
+
+def split_inputs(kind, dtype):
+    rng = np.random.default_rng(12)
+    if kind in ("binary", "missing"):
+        data = gen_synth(80, 1.0, 3, "shared", 3)
+        if kind == "missing":  # adds the missingness indicator columns
+            data = apply_missingness(data, 0.5, 4)
+        inputs = encoder_inputs(data)
+    elif kind == "signed_zero":
+        x = rng.integers(0, 2, (80, 3)).astype(float)
+        x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+        inputs = {"x": x, "y": x[::-1]}
+    else:
+        inputs = {"x": rng.standard_normal((80, 4)), "y": rng.standard_normal((80, 2))}
+    return {m: x.astype(dtype) for m, x in inputs.items()}
+
+
+class TestBatchStates:
+    """batch_states looks a batch's states up in its split's; the result is
+    input_states of the batch's rows, bitwise."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["binary", "missing", "signed_zero", "continuous"])
+    def test_equals_states_of_the_batch(self, kind, dtype):
+        inputs = split_inputs(kind, dtype)
+        split = input_states(inputs)
+        rng = np.random.default_rng(13)
+        batches = [rng.permutation(80)[:k] for k in (2, 5, 33)] + [slice(10, 47), np.arange(80)]
+        missed = False
+        for idx in batches:
+            got = batch_states(split, idx)
+            expected = input_states({m: x[idx] for m, x in inputs.items()})
+            for m, (distinct, rows) in expected.items():
+                assert got[m][0].dtype == distinct.dtype and got[m][1].dtype == rows.dtype
+                assert got[m][0].shape == distinct.shape
+                assert got[m][0].tobytes() == distinct.tobytes()
+                np.testing.assert_array_equal(got[m][1], rows)
+                missed |= distinct.shape[0] < split[m][0].shape[0]
+        assert missed  # some batch lacks some of the split's states
+        if kind == "signed_zero":  # -0.0 rows stay their own states
+            assert split["x"][0].shape[0] > 8
+

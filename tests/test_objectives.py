@@ -459,6 +459,15 @@ def assert_matches_brute_force(states, rows, scale, strategy, perms=None):
     assert d_scale == pytest.approx(ref_ds, rel=1e-12, abs=floor)
 
 
+@pytest.fixture()
+def unique_calls(monkeypatch):
+    """One entry per np.unique call: the tuple numbering's sorting fallback."""
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    return calls
+
+
 # (strategy, M): "on" at M = 2, 3, 4, "on2" at M = 3, and the pair loss
 KERNEL_CASES = [("on", 2), ("on", 3), ("on", 4), ("on2", 3), ("pairwise", 3)]
 SCALES = [math.exp(k) for k in range(-1, 5)]
@@ -586,12 +595,41 @@ class TestKernelExactness:
         with pytest.raises(NonFiniteError):
             kernel(states, None, 1.3, strategy, self.perms_for(names, 4, strategy))
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_continuous_inputs_past_the_lookup_range(self, m, unique_calls):
+        """40 distinct states per modality: the 40 x 40 non-anchor pairs
+        are too many slots for the 80 tuples, so tuple ids are sorted."""
+        rng = np.random.default_rng(90 + m)
+        names = "wxyz"[:m]
+        states = rand_reps(rng, names, 40, 3)
+        perms = self.perms_for(names, 40, "on")
+        assert_matches_brute_force(states, None, math.exp(1), "on", perms)
+        assert unique_calls
+
     def test_rows_out_of_range_rejected(self):
         rng = np.random.default_rng(71)
         states = rand_reps(rng, "xy", 3, 2)
         rows = {"x": np.array([0, 1, 2]), "y": np.array([0, 1, 3])}
         with pytest.raises(ValueError):
             symile_loss_grads(states, 1.0, "on", seed=0, rows=rows)
+
+
+class TestUniqueInverse:
+    """The tuple numbering equals np.unique's values and inverse, on the
+    lookup over the key range and on the sorting fallback."""
+
+    @pytest.mark.parametrize("size,sorts", [(50, False), (240, False), (241, True), (10**6, True)])
+    def test_matches_np_unique(self, size, sorts, unique_calls):
+        rng = np.random.default_rng(size)
+        keys = rng.integers(0, min(size, 45), 30)  # repeats, and most slots empty
+        keys[0] = size - 1
+        expected = np.unique(keys, return_inverse=True)
+        unique_calls.clear()
+        got = objectives._unique_inverse(keys, size)
+        assert bool(unique_calls) == sorts
+        for g, e in zip(got, expected, strict=True):
+            assert g.dtype == e.dtype
+            np.testing.assert_array_equal(g, e)
 
 
 class TestRowBlocks:

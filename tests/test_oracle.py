@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from symile.errors import CapacityError
 from symile.oracle import (
     JointTable,
+    TabularScorer,
     bound_value,
     build_synth_table,
     build_xor1d_table,
@@ -261,9 +262,16 @@ class TestOptimalScorer:
         np.testing.assert_allclose(g.scores, 0.0, atol=1e-12)
 
     def test_groups_must_cover(self):
+        """The scorer, the bound and its sampler refuse groups that leave c
+        out; the sampler would otherwise set c to 0 in every negative."""
         t = build_xor1d_table()
-        with pytest.raises(ValueError):
-            optimal_scorer(t, (("a",), ("b",)))
+        partial = (("a",), ("b",))
+        with pytest.raises(ValueError, match="cover every variable"):
+            optimal_scorer(t, partial)
+        with pytest.raises(ValueError, match="cover every variable"):
+            contrastive_sampler(t, partial, 0)
+        with pytest.raises(ValueError, match="cover every variable"):
+            bound_value(t, TabularScorer(np.zeros(8), partial), 5, 10, seed=0)
 
 
 class TestBoundValue:
