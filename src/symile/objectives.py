@@ -30,12 +30,18 @@ finds a split's states once and each batch's by lookup.  The distinct
 non-anchor state tuples are numbered by a lookup over the product of the
 state counts when that range is small next to the batch, and sorted
 otherwise, in the same order either way.  For "on", row i drops one copy
-of its column's tuple and gains its positive.  The dropped term is
-subtracted only where it is at most half its state's sum; a row whose
-column holds more is computed alone, with its own shift, so nothing
-cancels.  Blocks of anchor states of about 2^18 scores bound
-the working memory to a few blocks plus O((N + Q) D), also when every
-state is distinct; "on2" forms no (Q, D) grid of the non-anchor pairs.
+of its column's tuple and gains its positive.  The positive is a column
+of the tuple table, of count 0 when no column holds its tuple, so its
+score and gradient ride in the block's matmuls; a count-0 column never
+sets a shift.  When those count-0 columns would need more scores than
+one block holds (continuous inputs, where nearly every tuple is
+distinct), the table keeps the column tuples alone and each positive is
+scored on its own row.  The dropped term is subtracted only where it is
+at most half its state's sum; a row whose column holds more is computed
+alone, with its own shift, so nothing cancels.  Blocks of anchor states
+of about 2^18 scores bound the working memory to a few blocks plus
+O((N + Q) D), also when every state is distinct; "on2" forms no (Q, D)
+grid of the non-anchor pairs.
 """
 
 from __future__ import annotations
@@ -144,41 +150,48 @@ def _grouped_ce(
     into candidate states, one block of anchor states at a time.
 
     Row i scores anchor state ``a_rows[i]`` against ``counts[q]`` copies of
-    each candidate state q.  Without ``swap`` its positive is column
-    ``positive[i]``; with it, row i drops one copy of column ``swap[i]``
-    and gains a positive of raw score ``positive[i]``.  ``scores(states)``
-    returns the raw scores of those anchor states (a slice or an index
-    array); ``backward(states, g)`` receives d loss / d raw, accumulates
-    the candidate gradients and returns the rows of d_anchor.
-    Returns (loss, d_anchor, d_scale, d loss / d positive or None).
+    each candidate state q.  Without ``swap`` its positive is one of the
+    copies of column ``positive[i]``.  With ``swap``, row i drops one copy
+    of column ``swap[i]`` and gains a positive: column ``positive[i]``,
+    whose count may be 0, or, when ``positive`` holds floats, a raw score
+    ``positive[i]`` outside the columns.  A positive's logit is read before
+    count-0 columns are masked, so it never sets its state's shift.
+    ``scores(states)`` returns the raw scores of those anchor states (a
+    slice or an index array); ``backward(states, g)`` receives d loss /
+    d raw, positives included when they are columns, accumulates the
+    candidate gradients and returns the rows of d_anchor.
+    Returns (loss, d_anchor, d_scale, d loss / d raw positive score, or
+    None when the positives are columns).
     """
     n, u, q = a_rows.size, anchor.shape[0], counts.size
     step = max(1, _BLOCK_SCORES // q)
     unused = None if counts.all() else counts == 0
     weights = counts.astype(anchor.dtype)
     total, d_anchor = 0.0, np.empty_like(anchor)
-    d_pos = None if swap is None else np.empty(n)
+    d_pos = np.empty(n) if positive.dtype.kind == "f" else None
     for start in range(0, u, step):
         states = slice(start, min(start + step, u))
         rows = slice(None)  # one block holds every state
         if step < u:
             rows = np.flatnonzero((a_rows >= start) & (a_rows < states.stop))
-        lu = a_rows[rows] - start
-        e, top = _shifted_logits(scores(states), scale, unused)
-        if swap is None:
+        lu, raw = a_rows[rows] - start, scores(states)
+        if d_pos is None:  # read before count-0 columns are masked
             p = positive[rows]
-            pos_logit = e[lu, p]
+            pos_raw = raw[lu, p]
         else:
-            w, pos_raw = swap[rows], positive[rows]
-            if not np.isfinite(pos_raw).all():
-                raise NonFiniteError("logits must be finite")
-            pos_logit = scale * pos_raw - top[lu]
+            pos_raw = positive[rows]
+        e, top = _shifted_logits(raw, scale, unused)
+        if not np.isfinite(pos_raw).all():  # per-row positives are outside the block
+            raise NonFiniteError("logits must be finite")
+        pos_logit = scale * pos_raw - top[lu]
         np.exp(e, out=e)
-        e_w = None if swap is None else e[lu, w]
+        if swap is not None:
+            w = swap[rows]
+            e_w = e[lu, w]
         e *= weights
         s = e.sum(axis=1)[lu]  # >= 1: each state's max column has a copy
         if swap is None:
-            losses, inv_z = np.log(s) - pos_logit, 1.0 / s
+            losses, inv_z, g_pos = np.log(s) - pos_logit, 1.0 / s, -1.0
         else:
             # Row i is shifted by the larger of its state's max and its
             # positive, which scales its columns by keep.  s - e_w keeps half
@@ -193,15 +206,12 @@ def _grouped_ce(
             inv_z[exact] = 0.0
 
         # d loss / d logit[s, c] = E[s, c] * sum over rows i of state s of
-        # n_i(c) * keep_i / z_i, less 1 at each positive column; n_i(c),
+        # n_i(c) * keep_i / z_i, plus g_pos_i at each positive column; n_i(c),
         # the copies of c in row i, is counts[c], one fewer at swap[i].
-        # With swap, the positives' part is g_pos, per row.
         r = np.bincount(lu, inv_z, e.shape[0]).astype(e.dtype)  # float64 would slow e *= r
         e *= r[:, None]
         flat = e.ravel()  # a view: the block is C-contiguous
-        if swap is None:
-            np.add.at(flat, lu * q + p, -1.0)
-        else:
+        if swap is not None:
             np.add.at(flat, lu * q + w, -e_w * inv_z)
             if exact.size:
                 copies = np.tile(weights, (exact.size, 1))
@@ -210,13 +220,16 @@ def _grouped_ce(
                     scores(lu[exact] + start), copies, pos_raw[exact], scale
                 )
                 np.add.at(e, lu[exact], g_cols)
+        if d_pos is None:
+            np.add.at(flat, lu * q + p, g_pos)
+        else:
             d_pos[rows] = g_pos * (scale / n)
         total += float(losses.sum())
         e *= scale / n
         d_anchor[states] = backward(states, e)
-    # Every column score is linear in its anchor state, so sum(dL/draw *
-    # raw) equals sum(d_anchor * anchor) / scale, plus the positives' part.
-    d_scale = float(np.vdot(d_anchor, anchor)) + (0.0 if swap is None else float(d_pos @ positive))
+    # Every score is linear in its anchor state, so sum(dL/draw * raw)
+    # equals sum(d_anchor * anchor) / scale, plus any per-row positives' part.
+    d_scale = float(np.vdot(d_anchor, anchor)) + (0.0 if d_pos is None else float(d_pos @ positive))
     return total / n, d_anchor, d_scale / scale, d_pos
 
 
@@ -227,8 +240,14 @@ def _anchored_on_loss(
     """Mean-over-rows CE of the O(N) logits, with gradients.
 
     The distinct non-anchor state tuples at the permuted rows (one per
-    column) and at the matched rows form a table; its column tuples are
-    the candidates.  Returns (loss, d_anchor, d_others, d_scale).
+    column) and at the matched rows form a table.  Each table tuple is a
+    candidate with the count of columns that hold it, and each row's
+    positive is its matched tuple's candidate, of count 0 when no column
+    holds that tuple.  Those count-0 candidates cost U scores each; when
+    they would need more than one block's scores (as with continuous
+    inputs, where nearly every tuple is distinct), the candidates are the
+    column tuples alone and each row's positive is scored on its own.
+    Returns (loss, d_anchor, d_others, d_scale).
     """
     n = a_rows.size
     # tuples[k][t]: modality k's state in column t < n, or in row t - n's positive
@@ -245,11 +264,21 @@ def _anchored_on_loss(
         states = [t[first] for t in tuples]
         parts = [o[s] for o, s in zip(others, states)]
         table = functools.reduce(np.multiply, parts)
-        used, cols = _unique_inverse(ids[:n], size)
-    else:  # the table is the other modality's states; unused ones get count 0
-        used, cols = slice(None), ids[:n]
-    cand, matched = table[used], ids[n:]
-    counts = np.bincount(cols, minlength=cand.shape[0])
+    cols, matched = ids[:n], ids[n:]
+    counts = np.bincount(cols, minlength=table.shape[0])
+    # Identity permutations put each row's positive in its own column.
+    swap = None if (cols == matched).all() else cols
+    cand, positive = table, matched
+    # A count-0 tuple is one only positives hold, and costs U scores.  With
+    # one other modality the table is its states: every matched state is
+    # some column's too, and a count-0 state is one no row uses.
+    added = 0 if len(others) == 1 else counts.size - np.count_nonzero(counts)
+    if anchor.shape[0] * added > _BLOCK_SCORES:
+        used = np.flatnonzero(counts)
+        swap = (np.cumsum(counts > 0) - 1)[cols]
+        cand, counts = table[used], counts[used]
+        pos_part, pos_anchor = table[matched], anchor[a_rows]
+        positive = np.einsum("id,id->i", pos_anchor, pos_part)
     d_cand = np.zeros_like(cand)
 
     def scores(blk: slice | np.ndarray) -> np.ndarray:
@@ -259,22 +288,17 @@ def _anchored_on_loss(
         d_cand[...] += g.T @ anchor[blk]
         return g @ cand
 
-    # Identity permutations put each row's positive in its own column;
-    # otherwise row i swaps column i's tuple for its positive, scored per row.
-    swap, positive = None, cols
-    if not (ids[:n] == matched).all():
-        swap, pos_part, pos_anchor = cols, table[matched], anchor[a_rows]
-        positive = np.einsum("id,id->i", pos_anchor, pos_part)
     loss, d_anchor, d_scale, d_pos = _grouped_ce(
         anchor, a_rows, counts, positive, swap, scale, scores, backward
     )
-    d_table = np.zeros_like(table, np.float64)
-    if swap is not None:
+    d_table = d_cand
+    if d_pos is not None:
+        d_table = np.zeros_like(table, np.float64)
+        d_table[used] = d_cand
         d_anchor += _scatter_rows(a_rows, d_pos[:, None] * pos_part, anchor.shape[0])
         d_table += _scatter_rows(matched, d_pos[:, None] * pos_anchor, table.shape[0])
-    d_table[used] += d_cand
     if len(others) == 1:
-        return loss, d_anchor, [d_table.astype(table.dtype, copy=False)], d_scale
+        return loss, d_anchor, [d_table], d_scale
     d_others = []
     for k, (o, s) in enumerate(zip(others, states)):
         grad = functools.reduce(np.multiply, [p for j, p in enumerate(parts) if j != k], d_table)

@@ -459,6 +459,36 @@ def assert_matches_brute_force(states, rows, scale, strategy, perms=None):
     assert d_scale == pytest.approx(ref_ds, rel=1e-12, abs=floor)
 
 
+def assert_close_in_float32(states, rows, scale, strategy, perms=None):
+    """The kernel on float32 states against the float64 brute force of the
+    same values, at float32 tolerances."""
+    loss, d, d_scale = kernel(states, rows, scale, strategy, perms)
+    identity = {m: np.arange(next(iter(states.values())).shape[0]) for m in states}
+    ref_loss, ref_d, ref_ds = brute_force_grads(
+        {m: v.astype(np.float64) for m, v in states.items()}, rows or identity,
+        scale, strategy, perms,
+    )
+    assert loss == pytest.approx(ref_loss, rel=1e-5, abs=1e-5)
+    for m in states:
+        np.testing.assert_allclose(d[m], ref_d[m], rtol=1e-4, atol=1e-5)
+    assert d_scale == pytest.approx(ref_ds, rel=1e-4, abs=1e-6)
+
+
+@pytest.fixture()
+def positive_kinds(monkeypatch):
+    """One entry per anchored "on" term: "columns" when its positives are
+    columns of the tuple table, "per-row" when each is scored on its own."""
+    kinds = []
+    grouped_ce = objectives._grouped_ce
+
+    def spy(anchor, a_rows, counts, positive, *args):
+        kinds.append("per-row" if positive.dtype.kind == "f" else "columns")
+        return grouped_ce(anchor, a_rows, counts, positive, *args)
+
+    monkeypatch.setattr(objectives, "_grouped_ce", spy)
+    return kinds
+
+
 @pytest.fixture()
 def unique_calls(monkeypatch):
     """One entry per np.unique call: the tuple numbering's sorting fallback."""
@@ -567,6 +597,51 @@ class TestKernelExactness:
                 np.testing.assert_allclose(d[k], ref_d[k], rtol=1e-4, atol=1e-5)
             assert d_scale == pytest.approx(ref_ds, rel=1e-4, abs=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("side", ["columns", "per-row"])
+    @pytest.mark.parametrize("exact", [False, True], ids=["shared-shift", "exact-row"])
+    def test_unheld_positive_far_above_every_column(
+        self, monkeypatch, positive_kinds, exact, side, dtype
+    ):
+        """Rows 0-2 share anchor state e0, rows 3-5 state e1, at scale
+        e^7.5.  Row 0's positive (e0, e0) scores 1, and no column holds it;
+        every column of state e0 scores at most 0.5, about 900 nats below,
+        past where exp underflows.  Were its count-0 column to set the
+        state's shift, rows 1 and 2 would keep nothing.  "exact-row": row 0
+        also drops column 0, (h, h), the only column of state e0 that
+        scores 0.5, so it is computed alone.  "per-row": a block budget of
+        one score takes the size rule's other side, where each row's
+        positive is scored on its own."""
+        e0, e1, e2 = np.eye(3)
+        h = (e0 + e1) / math.sqrt(2.0)
+        states = {"x": np.stack([e0, e1]), "y": np.stack([e0, h, e1, e2])}
+        states["z"] = states["y"].copy()
+        rows = {
+            "x": np.array([0, 0, 0, 1, 1, 1]),
+            "y": np.array([0, 3, 3, 2, 1, 3]),
+            "z": np.array([0, 3, 2, 2, 1, 3]),
+        }
+        # column j holds (y at row first[j], z at row second[j]); row 4's is (h, h)
+        first, second = np.array([3, 0, 1, 2, 4, 5]), np.array([3, 1, 0, 2, 4, 5])
+        if exact:
+            first[[0, 4]], second[[0, 4]] = first[[4, 0]], second[[4, 0]]
+        perms = {a: [first, second] for a in "xyz"}
+        scale = math.exp(7.5)
+        assert (0, 0) not in {(rows["y"][i], rows["z"][j]) for i, j in zip(first, second)}
+        held = states["y"][rows["y"][first]] * states["z"][rows["z"][second]]
+        on_e0 = scale * (held @ e0)  # the columns' scores against state e0
+        assert scale - on_e0.max() > 800  # row 0's positive scores scale
+        if exact:
+            assert on_e0[0] - np.delete(on_e0, 0).max() > 800
+        if side == "per-row":
+            monkeypatch.setattr(objectives, "_BLOCK_SCORES", 1)
+        states = {k: v.astype(dtype) for k, v in states.items()}
+        if dtype == np.float64:
+            assert_matches_brute_force(states, rows, scale, "on", perms)
+        else:
+            assert_close_in_float32(states, rows, scale, "on", perms)
+        assert positive_kinds[0] == side  # x anchors first, with a count-0 positive
+
     @pytest.mark.parametrize("strategy,m", KERNEL_CASES)
     def test_unused_state_far_above_the_rest(self, strategy, m):
         """State 3 of every modality enters no row and scores hundreds of
@@ -634,10 +709,12 @@ class TestUniqueInverse:
 
 class TestRowBlocks:
     """The kernel runs one block of anchor states at a time; a small block
-    constant makes N = 37 distinct states span blocks of 7, the last with
-    2, in float64."""
+    budget makes N = 37 distinct states span blocks of 7, the last with
+    2, in float64.  A budget of 20 states of x's 74 table tuples holds the
+    N x 37 scores of x's matched-only tuples, so x's positives are columns."""
 
     N, ROWS = 37, 7
+    BUDGETS = {"on": ROWS * N, "on2": ROWS * N**2, "on-columns": 20 * 2 * N}
 
     def batch(self, seed=30):
         rng = np.random.default_rng(seed)
@@ -647,18 +724,25 @@ class TestRowBlocks:
         }
         return reps, perms
 
-    def widths(self, strategy, perms):
-        """Candidate states per anchor: N^2 for "on2"; for "on" the
-        distinct non-anchor row tuples over the columns."""
+    def widths(self, strategy, perms, limit):
+        """Candidate states per anchor under a budget of ``limit`` scores:
+        N^2 for "on2"; for "on" the table's tuples, the distinct
+        non-anchor row tuples over the columns, plus the matched tuples
+        (i, i) no column holds when their N scores each fit in ``limit``."""
         if strategy == "on2":
             return {a: self.N**2 for a in "xyz"}
-        return {a: len(set(zip(*perms[a]))) for a in "xyz"}
+        widths = {}
+        for a in "xyz":
+            columns = set(zip(*perms[a]))
+            added = {(i, i) for i in range(self.N)} - columns
+            widths[a] = len(columns) + (len(added) if self.N * len(added) <= limit else 0)
+        return widths
 
-    def blocked(self, mp, strategy, perms, record):
-        """Set ROWS anchor states per block of the x anchor and record
+    def blocked(self, mp, strategy, perms, record, budget=None):
+        """Set the block budget (by default ``BUDGETS[strategy]``) and record
         every block's raw scores; returns the expected block sizes."""
-        widths = self.widths(strategy, perms)
-        limit = self.ROWS * widths["x"]
+        limit = self.BUDGETS[budget or strategy]
+        widths = self.widths(strategy, perms, limit)
         mp.setattr(objectives, "_BLOCK_SCORES", limit)
         shifted = objectives._shifted_logits
 
@@ -673,16 +757,23 @@ class TestRowBlocks:
             sizes += [min(step, self.N - s) for s in range(0, self.N, step)]
         return sizes
 
-    @pytest.mark.parametrize("strategy", ["on", "on2"])
-    def test_blocked_matches_single_block_and_brute_force(self, monkeypatch, strategy):
+    @pytest.mark.parametrize(
+        "strategy,budget,first_sizes",
+        [("on", "on", [7, 7, 7, 7, 7, 2]), ("on", "on-columns", [20, 17]),
+         ("on2", "on2", [7, 7, 7, 7, 7, 2])],
+        ids=["on", "on-columns", "on2"],
+    )
+    def test_blocked_matches_single_block_and_brute_force(
+        self, monkeypatch, strategy, budget, first_sizes
+    ):
         reps, perms = self.batch()
         perms = perms if strategy == "on" else None
         loss1, bd1, d_reps1, d_scale1 = symile_loss_grads(reps, 1.7, strategy, perms=perms)
         blocks = []
-        sizes = self.blocked(monkeypatch, strategy, perms, blocks)
+        sizes = self.blocked(monkeypatch, strategy, perms, blocks, budget)
         loss, bd, d_reps, d_scale = symile_loss_grads(reps, 1.7, strategy, perms=perms)
         assert [b.shape[0] for b in blocks] == sizes
-        assert sizes[:6] == [7, 7, 7, 7, 7, 2]
+        assert sizes[: len(first_sizes)] == first_sizes
         ref_loss, ref_bd = brute_force_loss(reps, 1.7, strategy, perms)
         assert loss == pytest.approx(ref_loss, abs=1e-12)
         assert loss == pytest.approx(loss1, abs=1e-12)
@@ -723,3 +814,17 @@ def test_on2_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_positives_are_columns_for_grouped_batches_only(positive_kinds):
+    """At N = 1000 over 32 states per modality, the matched-only tuples add
+    at most 32 x 1000 scores, within one block, so the positives are
+    columns; with one state per row (continuous inputs) they would add
+    about 1000 x 1000, so each positive is scored on its own."""
+    rng = np.random.default_rng(32)
+    rows = {k: rng.integers(0, 32, 1000) for k in "xyz"}
+    symile_loss_grads(rand_reps(rng, "xyz", 32, 4), 2.0, "on", seed=0, rows=rows)
+    assert positive_kinds == ["columns"] * 3
+    positive_kinds.clear()
+    symile_loss_grads(rand_reps(rng, "xyz", 1000, 4), 2.0, "on", seed=0)
+    assert positive_kinds == ["per-row"] * 3
