@@ -22,10 +22,10 @@ def main():
     train_ds, val_ds, test_ds = split(dataset, spec)
 
     results = {}
-    for objective, scorer in (("symile", "symile"), ("pairwise_clip", "clip")):
+    for objective in ("symile", "pairwise_clip"):
         cfg = TrainConfig(objective=objective, epochs=25, seed=0)
         out = train(cfg, train_ds, val_ds)
-        retrieval = classify_target(out.checkpoint.params, scorer, test_ds, target="b")
+        retrieval = classify_target(out.checkpoint.params, objective, test_ds, target="b")
         results[objective] = (out, retrieval.accuracy)
         print(
             f"{objective:>14}: best epoch {out.checkpoint.epoch:3d}, "

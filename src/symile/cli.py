@@ -145,8 +145,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     doc, cfg = _run_config(args.config)
     ckpt = load_checkpoint(args.checkpoint)
     _, _, test_ds = _make_splits(doc, cfg)
-    scorer = "symile" if cfg.objective == "symile" else "clip"
-    retrieval = classify_target(ckpt.params, scorer, test_ds, target=args.target)
+    retrieval = classify_target(ckpt.params, cfg.objective, test_ds, target=args.target)
     report = bootstrap_accuracy(retrieval, args.bootstrap, derive_seed(cfg.seed, "eval-boot"))
     fileio.write_csv(
         args.out,

@@ -4,9 +4,11 @@ and the sufficient-statistic probe.
 Zero-shot retrieval ranks candidate representations of a target modality
 against encoded queries: the trained scorer is the multilinear inner
 product of the encoded tuple (temperature omitted; it is a positive
-multiplier and cannot change rankings).  The two-modality baseline scores
-a candidate by the sum of its dot products with each query.  Argmax ties
-break toward the lowest candidate index.
+multiplier and cannot change rankings).  The pairwise baseline scores a
+candidate by the sum of its dot products with each query.  Retrieval
+takes the objective's name (``model.OBJECTIVES``) and uses the scorer
+that objective trained.  Argmax ties break toward the lowest candidate
+index.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .data import Dataset, encoder_inputs
 from .errors import SchemaError
-from .model import ModelParams
+from .model import OBJECTIVES, ModelParams
 from .nn import adamw_step, encode, init_optimizer, row_softmax_cross_entropy
 from .rng import substream
 
@@ -80,7 +82,7 @@ def _query_product(params: ModelParams, queries: Mapping[str, np.ndarray]) -> np
 
 def candidate_scores(
     params: ModelParams,
-    scorer: str,
+    objective: str,
     queries: Mapping[str, np.ndarray],
     target: str,
     candidates: np.ndarray,
@@ -88,25 +90,25 @@ def candidate_scores(
     """(Q, K) scores of K candidates for the target modality, given Q query
     rows of every remaining modality.
 
-    ``scorer`` is "symile" (the multilinear inner product of the encoded
-    tuple; with one query modality, the dot product) or "clip" (the sum
-    over query modalities of the dot product with the candidate).
+    ``objective`` is "symile" (the multilinear inner product of the encoded
+    tuple; with one query modality, the dot product) or "pairwise_clip"
+    (the sum over query modalities of the dot product with the candidate).
     """
-    if scorer not in ("symile", "clip"):
-        raise ValueError(f"unknown scorer {scorer!r}")
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}; choose from {list(OBJECTIVES)}")
     if not queries:
         raise ValueError("need at least one query modality")
     if len(candidates) < 1:
         raise ValueError("need at least one candidate")
     r_cands = encode_modality(params, target, candidates)
-    if scorer == "symile":
+    if objective == "symile":
         return _query_product(params, queries) @ r_cands.T
     return sum(encode_modality(params, m, values) @ r_cands.T for m, values in queries.items())
 
 
 def classify_target(
     params: ModelParams,
-    scorer: str,
+    objective: str,
     dataset: Dataset,
     target: str = "b",
 ) -> RetrievalResult:
@@ -114,7 +116,7 @@ def classify_target(
     the remaining modalities' raw values (see ``candidate_scores``)."""
     queries = {m: dataset.modalities[m] for m in dataset.names if m != target}
     candidates = all_binary_vectors(dataset.modalities[target].shape[1])
-    scores = candidate_scores(params, scorer, queries, target, candidates)
+    scores = candidate_scores(params, objective, queries, target, candidates)
     predicted = np.argmax(scores, axis=1)  # ties -> lowest index
     true = binary_vector_index(dataset.modalities[target])
     return RetrievalResult(predicted, true)

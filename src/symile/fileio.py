@@ -124,4 +124,7 @@ def array_to_json(a: np.ndarray) -> dict[str, Any]:
 
 
 def array_from_json(obj: Mapping[str, Any]) -> np.ndarray:
-    return np.array(obj["data"], dtype=obj["dtype"]).reshape(obj["shape"])
+    """The array of ``array_to_json``.  A value past the dtype's range reads
+    as inf, without numpy's cast warning, for the caller's check to refuse."""
+    with np.errstate(over="ignore"):
+        return np.array(obj["data"], dtype=obj["dtype"]).reshape(obj["shape"])

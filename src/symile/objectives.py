@@ -38,10 +38,11 @@ one block holds (continuous inputs, where nearly every tuple is
 distinct), the table keeps the column tuples alone and each positive is
 scored on its own row.  The dropped term is subtracted only where it is
 at most half its state's sum; a row whose column holds more is computed
-alone, with its own shift, so nothing cancels.  Blocks of anchor states
-of about 2^18 scores bound the working memory to a few blocks plus
-O((N + Q) D), also when every state is distinct; "on2" forms no (Q, D)
-grid of the non-anchor pairs.
+alone by ``nn.row_softmax_cross_entropy``, with its positive as a column
+of one copy and its own shift, so nothing cancels.  Blocks of anchor
+states of about 2^18 scores bound the working memory to a few blocks
+plus O((N + Q) D), also when every state is distinct; "on2" forms no
+(Q, D) grid of the non-anchor pairs.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import NonFiniteError
-from .nn import row_softmax_cross_entropy  # noqa: F401 - kept as a traced name
+from .nn import row_softmax_cross_entropy
 from .rng import substream
 
 STRATEGIES = ("on", "on2")
@@ -131,17 +132,6 @@ def _shifted_logits(raw: np.ndarray, scale: float, unused: np.ndarray | None) ->
     return raw, top
 
 
-def _exact_rows(raw: np.ndarray, copies: np.ndarray, positive: np.ndarray, scale: float) -> tuple:
-    """(losses, d loss / d column logits, d loss / d positive logit) of rows
-    holding ``copies[f, c]`` of column c and a positive of raw score
-    ``positive[f]``, each shifted by the largest logit it keeps."""
-    logits, pos = np.where(copies > 0, scale * raw, -np.inf), scale * positive
-    top = np.maximum(logits.max(axis=1), pos)
-    e, e_pos = copies * np.exp(logits - top[:, None]), np.exp(pos - top)
-    z = e.sum(axis=1) + e_pos
-    return np.log(z) + top - pos, e / z[:, None], e_pos / z - 1.0
-
-
 def _grouped_ce(
     anchor: np.ndarray, a_rows: np.ndarray, counts: np.ndarray, positive: np.ndarray,
     swap: np.ndarray | None, scale: float, scores: Callable, backward: Callable,
@@ -191,7 +181,7 @@ def _grouped_ce(
         e *= weights
         s = e.sum(axis=1)[lu]  # >= 1: each state's max column has a copy
         if swap is None:
-            losses, inv_z, g_pos = np.log(s) - pos_logit, 1.0 / s, -1.0
+            losses, inv_z, g_pos = np.log(s) - pos_logit, 1.0 / s, e.dtype.type(-1.0)
         else:
             # Row i is shifted by the larger of its state's max and its
             # positive, which scales its columns by keep.  s - e_w keeps half
@@ -213,13 +203,14 @@ def _grouped_ce(
         flat = e.ravel()  # a view: the block is C-contiguous
         if swap is not None:
             np.add.at(flat, lu * q + w, -e_w * inv_z)
-            if exact.size:
-                copies = np.tile(weights, (exact.size, 1))
-                copies[np.arange(exact.size), w[exact]] -= 1
-                losses[exact], g_cols, g_pos[exact] = _exact_rows(
-                    scores(lu[exact] + start), copies, pos_raw[exact], scale
-                )
-                np.add.at(e, lu[exact], g_cols)
+            if exact.size:  # column 0 is the positive, with one copy
+                k = exact.size
+                copies = np.tile(np.insert(weights, 0, 1), (k, 1))
+                copies[np.arange(k), 1 + w[exact]] -= 1
+                logits = scale * np.hstack([pos_raw[exact, None], scores(lu[exact] + start)])
+                losses[exact], g = row_softmax_cross_entropy(logits, np.zeros(k, np.intp), copies)
+                g_pos[exact] = g[:, 0]
+                np.add.at(e, lu[exact], g[:, 1:])
         if d_pos is None:
             np.add.at(flat, lu * q + p, g_pos)
         else:
@@ -274,8 +265,7 @@ def _anchored_on_loss(
     # some column's too, and a count-0 state is one no row uses.
     added = 0 if len(others) == 1 else counts.size - np.count_nonzero(counts)
     if anchor.shape[0] * added > _BLOCK_SCORES:
-        used = np.flatnonzero(counts)
-        swap = (np.cumsum(counts > 0) - 1)[cols]
+        used, swap = _unique_inverse(cols, counts.size)
         cand, counts = table[used], counts[used]
         pos_part, pos_anchor = table[matched], anchor[a_rows]
         positive = np.einsum("id,id->i", pos_anchor, pos_part)

@@ -124,8 +124,7 @@ def run_cell(
     train_ds, val_ds, test_ds = split_for_training(dataset, cfg)
 
     result = train(cfg, train_ds, val_ds)
-    scorer = "symile" if objective == "symile" else "clip"
-    retrieval = classify_target(result.checkpoint.params, scorer, test_ds, target="b")
+    retrieval = classify_target(result.checkpoint.params, objective, test_ds, target="b")
     report = bootstrap_accuracy(
         retrieval, spec.bootstrap_resamples, derive_seed(seed, "sweep-boot")
     )

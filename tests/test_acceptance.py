@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from symile.cli import main as cli_main
-from symile.data import apply_missingness, gen_xor1d, gen_synth, split
+from symile.data import gen_xor1d, gen_synth
 from symile.diagnostics import calibration_example, recover_optimal_scorer, run_gradient_check
 from symile.evaluation import bootstrap_accuracy, classify_target
 from symile.objectives import clip_directional_loss, symile_loss
@@ -35,7 +35,7 @@ from symile.oracle import (
     total_correlation,
 )
 from symile.rng import derive_seed
-from symile.train import TrainConfig, train
+from symile.train import TrainConfig, split_for_training, train
 
 pytestmark = pytest.mark.acceptance
 
@@ -65,15 +65,11 @@ class RunOutcome:
 def benchmark_run(dataset, objective, p_missing=0.0):
     """Train with the benchmark recipe; evaluate zero-shot retrieval."""
     cfg = TrainConfig(objective=objective, seed=SEED, p_missing=p_missing)
-    train_ds, val_ds, test_ds = split(dataset, cfg.split)
-    if p_missing > 0.0:
-        train_ds = apply_missingness(train_ds, p_missing, derive_seed(SEED, "mask-train"))
-        val_ds = apply_missingness(val_ds, p_missing, derive_seed(SEED, "mask-val"))
+    train_ds, val_ds, test_ds = split_for_training(dataset, cfg)
     start = time.perf_counter()
     result = train(cfg, train_ds, val_ds)
     elapsed = time.perf_counter() - start
-    scorer = "symile" if objective == "symile" else "clip"
-    retrieval = classify_target(result.checkpoint.params, scorer, test_ds, target="b")
+    retrieval = classify_target(result.checkpoint.params, objective, test_ds, target="b")
     boot = bootstrap_accuracy(retrieval, 10, derive_seed(SEED, "acc-boot"))
     return RunOutcome(
         retrieval.accuracy, boot, elapsed, result.history[-1]["train_loss"]

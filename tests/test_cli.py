@@ -154,6 +154,29 @@ class TestTrainEvalProbe:
         err = capsys.readouterr().err
         assert "no encoder for modality 'a'" in err and "['b', 'c']" in err
 
+    def test_out_of_range_value_exit_2_without_warning(self, tmp_path, tiny_config_path):
+        """A float32 parameter of 1e300 reads as inf: the finiteness check
+        reports it, and numpy's overflow warning does not come first."""
+        out_dir = str(tmp_path / "run")
+        assert main(["train", "--config", tiny_config_path, "--out-dir", out_dir]) == 0
+        ckpt_path = os.path.join(out_dir, "checkpoint.json")
+        with open(ckpt_path) as f:
+            lines = f.read().splitlines()
+        body = json.loads(lines[1])
+        assert body["encoders"]["a"]["W"]["dtype"] == "float32"
+        body["encoders"]["a"]["W"]["data"][0] = 1e300
+        with open(ckpt_path, "w") as f:
+            f.write(lines[0] + "\n" + json.dumps(body) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "symile.cli", "eval", "--config", tiny_config_path,
+             "--checkpoint", ckpt_path, "--out", str(tmp_path / "out.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "must be finite" in proc.stderr
+        assert "Warning" not in proc.stderr, proc.stderr
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 

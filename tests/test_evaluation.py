@@ -51,7 +51,7 @@ class TestCandidateScores:
         ra = encode_modality(params, "a", queries["a"])[0]
         rb = encode_modality(params, "b", candidates)
         np.testing.assert_allclose(sym, rb @ ra, atol=1e-12)
-        clip = candidate_scores(params, "clip", queries, "b", candidates)[0]
+        clip = candidate_scores(params, "pairwise_clip", queries, "b", candidates)[0]
         np.testing.assert_allclose(clip, sym, atol=1e-12)
 
     def test_clip_scores_symmetric_in_queries(self):
@@ -59,8 +59,8 @@ class TestCandidateScores:
         rng = np.random.default_rng(3)
         qa, qc = rng.random(2), rng.random(2)
         candidates = rng.random((5, 2))
-        s1 = candidate_scores(params, "clip", {"a": qa, "c": qc}, "b", candidates)
-        s2 = candidate_scores(params, "clip", {"c": qc, "a": qa}, "b", candidates)
+        s1 = candidate_scores(params, "pairwise_clip", {"a": qa, "c": qc}, "b", candidates)
+        s2 = candidate_scores(params, "pairwise_clip", {"c": qc, "a": qa}, "b", candidates)
         np.testing.assert_array_equal(s1, s2)
 
     def test_scale_invariant_ranking(self):
@@ -80,8 +80,8 @@ class TestClassifyTarget:
     def test_untrained_model_near_chance(self):
         ds = gen_synth(5000, 1.0, seed=5)
         params = init_params({"a": 5, "b": 5, "c": 5}, 16, seed=777)
-        for scorer in ("symile", "clip"):
-            acc = classify_target(params, scorer, ds).accuracy
+        for objective in ("symile", "pairwise_clip"):
+            acc = classify_target(params, objective, ds).accuracy
             assert 1 / 32 - 0.02 <= acc <= 1 / 32 + 0.02
 
     def test_ties_break_to_lowest_index(self):

@@ -707,6 +707,85 @@ class TestUniqueInverse:
             np.testing.assert_array_equal(g, e)
 
 
+def lone_row_batch(dtype):
+    """One-hot states at scale e^7 where x's row 0 drops column 0, its
+    state's only high column, so the kernel computes that row on its own
+    (see ``test_positive_far_above_every_column``): (states, perms, scale)."""
+    n, eye = 6, np.eye(6)
+    half = (eye[0] + eye[1]) / math.sqrt(2.0)
+    states = {"x": eye.copy(), "y": eye.copy(), "z": eye.copy()}
+    states["y"][1] = states["z"][1] = half
+    perms = {a: [np.roll(np.arange(n), -1), np.array([1, 0, 3, 4, 5, 2])] for a in "xyz"}
+    return {k: v.astype(dtype) for k, v in states.items()}, perms, math.exp(7)
+
+
+class TestLoneRows:
+    """A row whose dropped column holds more than half its state's sum is
+    computed by ``row_softmax_cross_entropy`` as the kernel module names
+    it, with its positive as column 0 of count 1."""
+
+    @pytest.mark.parametrize("side", ["columns", "per-row"])
+    def test_lone_row_calls_the_softmax_ce(self, monkeypatch, side):
+        calls = []
+        ce = objectives.row_softmax_cross_entropy
+
+        def spy(logits, targets, counts=None):
+            calls.append((logits.shape, targets.copy(), counts.copy()))
+            return ce(logits, targets, counts)
+
+        monkeypatch.setattr(objectives, "row_softmax_cross_entropy", spy)
+        if side == "per-row":
+            monkeypatch.setattr(objectives, "_BLOCK_SCORES", 1)
+        states, perms, scale = lone_row_batch(np.float64)
+        assert_matches_brute_force(states, None, scale, "on", perms)
+        assert calls, "the lone row did not go through row_softmax_cross_entropy"
+        for shape, targets, counts in calls:
+            assert counts.shape == shape
+            np.testing.assert_array_equal(targets, 0)
+            np.testing.assert_array_equal(counts[:, 0], 1)
+
+
+class _RecordingNumpy:
+    """numpy, except that ``add.at`` records (target dtype, values)."""
+
+    def __init__(self, record):
+        def at(target, index, values):
+            record.append((target.dtype, values))
+            return np.add.at(target, index, values)
+
+        self.add = type("add", (), {"at": staticmethod(at)})
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestTypedScatters:
+    """Every ``np.add.at`` in the kernel adds values of its target's dtype:
+    a Python float drops numpy off its fast indexed loop (over 20x slower
+    on a float32 block), which changes no result and leaves no other trace."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("path", ["identity", "swap", "lone-row"])
+    def test_scatter_values_have_the_target_dtype(self, monkeypatch, path, dtype):
+        record = []
+        monkeypatch.setattr(objectives, "np", _RecordingNumpy(record))
+        if path == "lone-row":
+            states, perms, scale = lone_row_batch(dtype)
+            symile_loss_grads(states, scale, "on", perms=perms)
+        else:
+            rng = np.random.default_rng(5)
+            states = {k: v.astype(dtype) for k, v in rand_reps(rng, "xyz", 4, 3).items()}
+            rows = {k: rng.integers(0, 4, 20) for k in "xyz"}
+            if path == "identity":
+                pairwise_clip_loss_grads(states, 2.0, rows=rows)
+            else:
+                symile_loss_grads(states, 2.0, "on", seed=1, rows=rows)
+        assert record
+        for target, values in record:
+            assert isinstance(values, (np.ndarray, np.generic)), type(values)
+            assert values.dtype == target
+
+
 class TestRowBlocks:
     """The kernel runs one block of anchor states at a time; a small block
     budget makes N = 37 distinct states span blocks of 7, the last with
