@@ -33,13 +33,10 @@ otherwise, in the same order either way.  For "on", row i drops one copy
 of its column's tuple and gains its positive.  The positive is a column
 of the tuple table, of count 0 when no column holds its tuple, so its
 score and gradient ride in the block's matmuls; a count-0 column never
-sets a shift.  When those count-0 columns would need more scores than
-one block holds (continuous inputs, where nearly every tuple is
-distinct), the table keeps the column tuples alone and each positive is
-scored on its own row.  The dropped term is subtracted only where it is
-at most half its state's sum; a row whose column holds more is computed
-alone by ``nn.row_softmax_cross_entropy``, with its positive as a column
-of one copy and its own shift, so nothing cancels.  Blocks of anchor
+sets a shift.  The dropped term is subtracted only where it is at most
+half its state's sum; a row whose column holds more is computed alone
+by ``nn.row_softmax_cross_entropy``, with its positive as a column of
+one copy and its own shift, so nothing cancels.  Blocks of anchor
 states of about 2^18 scores bound the working memory to a few blocks
 plus O((N + Q) D), also when every state is distinct; "on2" forms no
 (Q, D) grid of the non-anchor pairs.
@@ -135,7 +132,7 @@ def _shifted_logits(raw: np.ndarray, scale: float, unused: np.ndarray | None) ->
 def _grouped_ce(
     anchor: np.ndarray, a_rows: np.ndarray, counts: np.ndarray, positive: np.ndarray,
     swap: np.ndarray | None, scale: float, scores: Callable, backward: Callable,
-) -> tuple[float, np.ndarray, float, np.ndarray | None]:
+) -> tuple[float, np.ndarray, float]:
     """Mean-over-rows CE with rows grouped into anchor states and columns
     into candidate states, one block of anchor states at a time.
 
@@ -143,36 +140,26 @@ def _grouped_ce(
     each candidate state q.  Without ``swap`` its positive is one of the
     copies of column ``positive[i]``.  With ``swap``, row i drops one copy
     of column ``swap[i]`` and gains a positive: column ``positive[i]``,
-    whose count may be 0, or, when ``positive`` holds floats, a raw score
-    ``positive[i]`` outside the columns.  A positive's logit is read before
-    count-0 columns are masked, so it never sets its state's shift.
+    whose count may be 0.  A positive's logit is read before count-0
+    columns are masked, so it never sets its state's shift.
     ``scores(states)`` returns the raw scores of those anchor states (a
     slice or an index array); ``backward(states, g)`` receives d loss /
-    d raw, positives included when they are columns, accumulates the
-    candidate gradients and returns the rows of d_anchor.
-    Returns (loss, d_anchor, d_scale, d loss / d raw positive score, or
-    None when the positives are columns).
+    d raw, positives included, accumulates the candidate gradients and
+    returns the rows of d_anchor.  Returns (loss, d_anchor, d_scale).
     """
     n, u, q = a_rows.size, anchor.shape[0], counts.size
     step = max(1, _BLOCK_SCORES // q)
     unused = None if counts.all() else counts == 0
     weights = counts.astype(anchor.dtype)
     total, d_anchor = 0.0, np.empty_like(anchor)
-    d_pos = np.empty(n) if positive.dtype.kind == "f" else None
     for start in range(0, u, step):
         states = slice(start, min(start + step, u))
         rows = slice(None)  # one block holds every state
         if step < u:
             rows = np.flatnonzero((a_rows >= start) & (a_rows < states.stop))
-        lu, raw = a_rows[rows] - start, scores(states)
-        if d_pos is None:  # read before count-0 columns are masked
-            p = positive[rows]
-            pos_raw = raw[lu, p]
-        else:
-            pos_raw = positive[rows]
+        lu, raw, p = a_rows[rows] - start, scores(states), positive[rows]
+        pos_raw = raw[lu, p]  # read before count-0 columns are masked
         e, top = _shifted_logits(raw, scale, unused)
-        if not np.isfinite(pos_raw).all():  # per-row positives are outside the block
-            raise NonFiniteError("logits must be finite")
         pos_logit = scale * pos_raw - top[lu]
         np.exp(e, out=e)
         if swap is not None:
@@ -211,17 +198,13 @@ def _grouped_ce(
                 losses[exact], g = row_softmax_cross_entropy(logits, np.zeros(k, np.intp), copies)
                 g_pos[exact] = g[:, 0]
                 np.add.at(e, lu[exact], g[:, 1:])
-        if d_pos is None:
-            np.add.at(flat, lu * q + p, g_pos)
-        else:
-            d_pos[rows] = g_pos * (scale / n)
+        np.add.at(flat, lu * q + p, g_pos)
         total += float(losses.sum())
         e *= scale / n
         d_anchor[states] = backward(states, e)
     # Every score is linear in its anchor state, so sum(dL/draw * raw)
-    # equals sum(d_anchor * anchor) / scale, plus any per-row positives' part.
-    d_scale = float(np.vdot(d_anchor, anchor)) + (0.0 if d_pos is None else float(d_pos @ positive))
-    return total / n, d_anchor, d_scale / scale, d_pos
+    # equals sum(d_anchor * anchor) / scale.
+    return total / n, d_anchor, float(np.vdot(d_anchor, anchor)) / scale
 
 
 def _anchored_on_loss(
@@ -234,10 +217,7 @@ def _anchored_on_loss(
     column) and at the matched rows form a table.  Each table tuple is a
     candidate with the count of columns that hold it, and each row's
     positive is its matched tuple's candidate, of count 0 when no column
-    holds that tuple.  Those count-0 candidates cost U scores each; when
-    they would need more than one block's scores (as with continuous
-    inputs, where nearly every tuple is distinct), the candidates are the
-    column tuples alone and each row's positive is scored on its own.
+    holds that tuple.
     Returns (loss, d_anchor, d_others, d_scale).
     """
     n = a_rows.size
@@ -259,34 +239,18 @@ def _anchored_on_loss(
     counts = np.bincount(cols, minlength=table.shape[0])
     # Identity permutations put each row's positive in its own column.
     swap = None if (cols == matched).all() else cols
-    cand, positive = table, matched
-    # A count-0 tuple is one only positives hold, and costs U scores.  With
-    # one other modality the table is its states: every matched state is
-    # some column's too, and a count-0 state is one no row uses.
-    added = 0 if len(others) == 1 else counts.size - np.count_nonzero(counts)
-    if anchor.shape[0] * added > _BLOCK_SCORES:
-        used, swap = _unique_inverse(cols, counts.size)
-        cand, counts = table[used], counts[used]
-        pos_part, pos_anchor = table[matched], anchor[a_rows]
-        positive = np.einsum("id,id->i", pos_anchor, pos_part)
-    d_cand = np.zeros_like(cand)
+    d_table = np.zeros_like(table)
 
     def scores(blk: slice | np.ndarray) -> np.ndarray:
-        return anchor[blk] @ cand.T
+        return anchor[blk] @ table.T
 
     def backward(blk: slice, g: np.ndarray) -> np.ndarray:
-        d_cand[...] += g.T @ anchor[blk]
-        return g @ cand
+        d_table[...] += g.T @ anchor[blk]
+        return g @ table
 
-    loss, d_anchor, d_scale, d_pos = _grouped_ce(
-        anchor, a_rows, counts, positive, swap, scale, scores, backward
+    loss, d_anchor, d_scale = _grouped_ce(
+        anchor, a_rows, counts, matched, swap, scale, scores, backward
     )
-    d_table = d_cand
-    if d_pos is not None:
-        d_table = np.zeros_like(table, np.float64)
-        d_table[used] = d_cand
-        d_anchor += _scatter_rows(a_rows, d_pos[:, None] * pos_part, anchor.shape[0])
-        d_table += _scatter_rows(matched, d_pos[:, None] * pos_anchor, table.shape[0])
     if len(others) == 1:
         return loss, d_anchor, [d_table], d_scale
     d_others = []
@@ -323,7 +287,7 @@ def _anchored_on2_loss(
         return np.einsum("bjd,jd->bd", h, first)
 
     counts = np.outer(np.bincount(f_rows, minlength=vf), np.bincount(s_rows, minlength=vs))
-    loss, d_anchor, d_scale, _ = _grouped_ce(
+    loss, d_anchor, d_scale = _grouped_ce(
         anchor, a_rows, counts.ravel(), f_rows * vs + s_rows, None, scale, scores, backward
     )
     return loss, d_anchor, [d_first, d_second], d_scale

@@ -422,7 +422,8 @@ def bound_value(
     positive; the second return value is the standard error of the mean.
     Memory per chunk of samples is bounded by about 2**20 scores, so a
     huge ``n`` costs O(Q) per sample when the product has Q < n - 1
-    states.
+    states; ``CapacityError`` refuses a sample of more than 2**20
+    negative columns, min(n - 1, Q), before anything is drawn.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
@@ -434,8 +435,6 @@ def bound_value(
     if not 0 <= anchor < len(groups):
         raise ValueError(f"anchor index {anchor} out of range")
 
-    rng = substream(seed, "bound", anchor, n)
-    draw = contrastive_sampler(table, groups, anchor)
     # The sampler's negative columns per sample: n - 1 draws, or the Q
     # non-anchor product states when it draws counts.
     product_states = math.prod(
@@ -444,7 +443,12 @@ def bound_value(
         if i != anchor
         for name in g
     )
-    chunk = max(1, (1 << 20) // (1 + min(n - 1, product_states)))
+    width = min(n - 1, product_states)
+    if width > 1 << 20:
+        raise CapacityError(f"{width} negative columns per sample exceed the 2**20 budget")
+    rng = substream(seed, "bound", anchor, n)
+    draw = contrastive_sampler(table, groups, anchor)
+    chunk = max(1, (1 << 20) // (1 + width))
     total = 0.0
     total_sq = 0.0
     done = 0

@@ -475,21 +475,6 @@ def assert_close_in_float32(states, rows, scale, strategy, perms=None):
 
 
 @pytest.fixture()
-def positive_kinds(monkeypatch):
-    """One entry per anchored "on" term: "columns" when its positives are
-    columns of the tuple table, "per-row" when each is scored on its own."""
-    kinds = []
-    grouped_ce = objectives._grouped_ce
-
-    def spy(anchor, a_rows, counts, positive, *args):
-        kinds.append("per-row" if positive.dtype.kind == "f" else "columns")
-        return grouped_ce(anchor, a_rows, counts, positive, *args)
-
-    monkeypatch.setattr(objectives, "_grouped_ce", spy)
-    return kinds
-
-
-@pytest.fixture()
 def unique_calls(monkeypatch):
     """One entry per np.unique call: the tuple numbering's sorting fallback."""
     calls = []
@@ -598,20 +583,18 @@ class TestKernelExactness:
             assert d_scale == pytest.approx(ref_ds, rel=1e-4, abs=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("side", ["columns", "per-row"])
+    @pytest.mark.parametrize("blocks", ["columns", "one-state-blocks"])
     @pytest.mark.parametrize("exact", [False, True], ids=["shared-shift", "exact-row"])
-    def test_unheld_positive_far_above_every_column(
-        self, monkeypatch, positive_kinds, exact, side, dtype
-    ):
+    def test_unheld_positive_far_above_every_column(self, monkeypatch, exact, blocks, dtype):
         """Rows 0-2 share anchor state e0, rows 3-5 state e1, at scale
         e^7.5.  Row 0's positive (e0, e0) scores 1, and no column holds it;
         every column of state e0 scores at most 0.5, about 900 nats below,
         past where exp underflows.  Were its count-0 column to set the
         state's shift, rows 1 and 2 would keep nothing.  "exact-row": row 0
         also drops column 0, (h, h), the only column of state e0 that
-        scores 0.5, so it is computed alone.  "per-row": a block budget of
-        one score takes the size rule's other side, where each row's
-        positive is scored on its own."""
+        scores 0.5, so it is computed alone.  "one-state-blocks": a block
+        budget of one score puts each anchor state in a block of its own,
+        count-0 positive columns and lone rows included."""
         e0, e1, e2 = np.eye(3)
         h = (e0 + e1) / math.sqrt(2.0)
         states = {"x": np.stack([e0, e1]), "y": np.stack([e0, h, e1, e2])}
@@ -633,14 +616,13 @@ class TestKernelExactness:
         assert scale - on_e0.max() > 800  # row 0's positive scores scale
         if exact:
             assert on_e0[0] - np.delete(on_e0, 0).max() > 800
-        if side == "per-row":
+        if blocks == "one-state-blocks":
             monkeypatch.setattr(objectives, "_BLOCK_SCORES", 1)
         states = {k: v.astype(dtype) for k, v in states.items()}
         if dtype == np.float64:
             assert_matches_brute_force(states, rows, scale, "on", perms)
         else:
             assert_close_in_float32(states, rows, scale, "on", perms)
-        assert positive_kinds[0] == side  # x anchors first, with a count-0 positive
 
     @pytest.mark.parametrize("strategy,m", KERNEL_CASES)
     def test_unused_state_far_above_the_rest(self, strategy, m):
@@ -724,8 +706,8 @@ class TestLoneRows:
     computed by ``row_softmax_cross_entropy`` as the kernel module names
     it, with its positive as column 0 of count 1."""
 
-    @pytest.mark.parametrize("side", ["columns", "per-row"])
-    def test_lone_row_calls_the_softmax_ce(self, monkeypatch, side):
+    @pytest.mark.parametrize("blocks", ["columns", "one-state-blocks"])
+    def test_lone_row_calls_the_softmax_ce(self, monkeypatch, blocks):
         calls = []
         ce = objectives.row_softmax_cross_entropy
 
@@ -734,7 +716,7 @@ class TestLoneRows:
             return ce(logits, targets, counts)
 
         monkeypatch.setattr(objectives, "row_softmax_cross_entropy", spy)
-        if side == "per-row":
+        if blocks == "one-state-blocks":
             monkeypatch.setattr(objectives, "_BLOCK_SCORES", 1)
         states, perms, scale = lone_row_batch(np.float64)
         assert_matches_brute_force(states, None, scale, "on", perms)
@@ -789,11 +771,13 @@ class TestTypedScatters:
 class TestRowBlocks:
     """The kernel runs one block of anchor states at a time; a small block
     budget makes N = 37 distinct states span blocks of 7, the last with
-    2, in float64.  A budget of 20 states of x's 74 table tuples holds the
-    N x 37 scores of x's matched-only tuples, so x's positives are columns."""
+    2, in float64.  For "on" each anchor's table holds 73 or 74 tuples, the
+    N permuted columns and the matched tuples no column holds, so a budget
+    of 7 x 2N scores gives blocks of 7, and one of 20 x 2N ("on-columns")
+    blocks of 20 and 17."""
 
     N, ROWS = 37, 7
-    BUDGETS = {"on": ROWS * N, "on2": ROWS * N**2, "on-columns": 20 * 2 * N}
+    BUDGETS = {"on": ROWS * 2 * N, "on2": ROWS * N**2, "on-columns": 20 * 2 * N}
 
     def batch(self, seed=30):
         rng = np.random.default_rng(seed)
@@ -803,25 +787,20 @@ class TestRowBlocks:
         }
         return reps, perms
 
-    def widths(self, strategy, perms, limit):
-        """Candidate states per anchor under a budget of ``limit`` scores:
-        N^2 for "on2"; for "on" the table's tuples, the distinct
-        non-anchor row tuples over the columns, plus the matched tuples
-        (i, i) no column holds when their N scores each fit in ``limit``."""
+    def widths(self, strategy, perms):
+        """Candidate states per anchor: N^2 for "on2"; for "on" the table's
+        tuples, the distinct non-anchor row tuples over the columns and the
+        matched tuples (i, i)."""
         if strategy == "on2":
             return {a: self.N**2 for a in "xyz"}
-        widths = {}
-        for a in "xyz":
-            columns = set(zip(*perms[a]))
-            added = {(i, i) for i in range(self.N)} - columns
-            widths[a] = len(columns) + (len(added) if self.N * len(added) <= limit else 0)
-        return widths
+        matched = {(i, i) for i in range(self.N)}
+        return {a: len(set(zip(*perms[a])) | matched) for a in "xyz"}
 
     def blocked(self, mp, strategy, perms, record, budget=None):
         """Set the block budget (by default ``BUDGETS[strategy]``) and record
         every block's raw scores; returns the expected block sizes."""
         limit = self.BUDGETS[budget or strategy]
-        widths = self.widths(strategy, perms, limit)
+        widths = self.widths(strategy, perms)
         mp.setattr(objectives, "_BLOCK_SCORES", limit)
         shifted = objectives._shifted_logits
 
@@ -895,15 +874,17 @@ def test_on2_memory_stays_bounded():
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_positives_are_columns_for_grouped_batches_only(positive_kinds):
-    """At N = 1000 over 32 states per modality, the matched-only tuples add
-    at most 32 x 1000 scores, within one block, so the positives are
-    columns; with one state per row (continuous inputs) they would add
-    about 1000 x 1000, so each positive is scored on its own."""
-    rng = np.random.default_rng(32)
-    rows = {k: rng.integers(0, 32, 1000) for k in "xyz"}
-    symile_loss_grads(rand_reps(rng, "xyz", 32, 4), 2.0, "on", seed=0, rows=rows)
-    assert positive_kinds == ["columns"] * 3
-    positive_kinds.clear()
-    symile_loss_grads(rand_reps(rng, "xyz", 1000, 4), 2.0, "on", seed=0)
-    assert positive_kinds == ["per-row"] * 3
+def test_continuous_on_memory_stays_bounded():
+    """One "on" call with every row its own state (N=1000, M=3, D=16, in
+    float32) has about 2N table tuples, half of them count-0 positive
+    columns, and scores them a block of anchor states at a time: its
+    peak stays well under the 7.6 MiB of one N x 2N score matrix."""
+    rng = np.random.default_rng(33)
+    reps = {m: r.astype(np.float32) for m, r in rand_reps(rng, "xyz", 1000, 16).items()}
+    tracemalloc.start()
+    try:
+        symile_loss_grads(reps, 5.0, "on", seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"

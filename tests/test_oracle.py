@@ -343,6 +343,23 @@ class TestBoundValue:
         with pytest.raises(ValueError):
             bound_value(t, g, 2, 0, seed=0)
 
+    def test_wide_sample_refused_before_drawing(self, monkeypatch):
+        """A uniform (1, 2**20 + 1) table anchored on x has Q = 2**20 + 1
+        non-anchor states, so a sample has min(n - 1, Q) negative columns:
+        2**20 at n = 2**20 + 1 runs, one more is refused before the sampler
+        is built."""
+        q = 2**20 + 1
+        t = JointTable(("x", "y"), (1, q), np.full(q, 1.0 / q))
+        g = TabularScorer(np.zeros(q), (("x",), ("y",)))
+        est, _ = bound_value(t, g, 2**20 + 1, 1, seed=0)
+        assert est == pytest.approx(0.0, abs=1e-9)  # every score is 0
+        built = []
+        monkeypatch.setattr("symile.oracle.contrastive_sampler", lambda *a: built.append(a))
+        for n in (2**20 + 2, 2**40):
+            with pytest.raises(CapacityError, match="2\\*\\*20"):
+                bound_value(t, g, n, 1, seed=0)
+        assert not built
+
 
 def flat_index(values, arities):
     """Little-endian flat index by explicit strides (first value fastest)."""
