@@ -36,7 +36,11 @@ score and gradient ride in the block's matmuls; a count-0 column never
 sets a shift.  The dropped term is subtracted only where it is at most
 half its state's sum; a row whose column holds more is computed alone
 by ``nn.row_softmax_cross_entropy``, with its positive as a column of
-one copy and its own shift, so nothing cancels.  Blocks of anchor
+one copy and its own shift, so nothing cancels.  The table gradient
+folds back onto the non-anchor states through the dense (first x
+second) state grid when M = 3 and the grid has few cells per tuple, by
+one contraction per modality; otherwise (continuous inputs, M >= 4) it
+is scattered onto each modality's states.  Blocks of anchor
 states of about 2^18 scores bound the working memory to a few blocks
 plus O((N + Q) D), also when every state is distinct; "on2" forms no
 (Q, D) grid of the non-anchor pairs.
@@ -93,6 +97,14 @@ def _state_rows(reps: Mapping[str, np.ndarray], rows: Rows | None) -> dict[str, 
 # Scores (anchor states x candidate states) per block; a block holds at
 # least one anchor state, so it is larger only when one row of scores is.
 _BLOCK_SCORES = 1 << 18
+
+
+# The M = 3 table gradient folds through the (first x second) state grid
+# when it has at most this many cells per table tuple, and through one
+# scatter per modality otherwise.  At N = 1000, D = 16 in float32 on a
+# 2-vCPU x86-64 host with OpenBLAS, the grid was faster up to about 5-6
+# cells per tuple and slower from 7.5.
+_GRID_PER_TUPLE = 4
 
 
 def _scatter_rows(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -217,7 +229,13 @@ def _anchored_on_loss(
     column) and at the matched rows form a table.  Each table tuple is a
     candidate with the count of columns that hold it, and each row's
     positive is its matched tuple's candidate, of count 0 when no column
-    holds that tuple.
+    holds that tuple.  The table gradient folds back onto the non-anchor
+    states in one of two ways.  With two non-anchors whose state grid has
+    at most ``_GRID_PER_TUPLE`` cells per table tuple (every grouped batch
+    the CLI and the sweep train on), it is placed in a zeroed grid at the
+    tuples' cells and contracted with the other modality's states; else
+    (continuous inputs, where the grid has N^2 cells, and M >= 4) each
+    modality's share is scattered onto its states.
     Returns (loss, d_anchor, d_others, d_scale).
     """
     n = a_rows.size
@@ -253,6 +271,16 @@ def _anchored_on_loss(
     )
     if len(others) == 1:
         return loss, d_anchor, [d_table], d_scale
+    v0, v1 = others[0].shape[0], others[-1].shape[0]
+    if len(others) == 2 and v0 * v1 <= _GRID_PER_TUPLE * size:
+        # Tuple t is cell distinct[t] = j * v1 + k of the state grid, and
+        # table[t] = first[j] * second[k]: each modality's gradient is the
+        # grid of d_table contracted with the other modality's states.
+        cells = np.zeros((v0 * v1, table.shape[1]), d_table.dtype)
+        cells[distinct] = d_table
+        cells = cells.reshape(v0, v1, -1)
+        d_first = np.einsum("jkd,kd->jd", cells, others[1])
+        return loss, d_anchor, [d_first, np.einsum("jkd,jd->kd", cells, others[0])], d_scale
     d_others = []
     for k, (o, s) in enumerate(zip(others, states)):
         grad = functools.reduce(np.multiply, [p for j, p in enumerate(parts) if j != k], d_table)

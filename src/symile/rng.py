@@ -9,10 +9,17 @@ isolation.
 
 Streams are backed by the counter-based Philox bit generator, keyed
 through ``numpy.random.SeedSequence`` so that distinct tag tuples give
-statistically independent streams.
+statistically independent streams.  The seed and each tag become
+non-negative integers (a type discriminator, then the value), and the
+entropy is passed as one pre-encoded ``uint32`` array: each integer as
+little-endian 32-bit words, at least one.  Those are the words numpy's
+own coercion makes from the integer list, so the pool and every stream
+are the same, without numpy's per-integer conversion.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -24,22 +31,41 @@ _INT_TAG = 0
 _STR_TAG = 1
 
 
-def _encode(tag: Tag) -> list[int]:
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(value: int) -> list[int]:
+    """``value`` as little-endian 32-bit words, at least one."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+@functools.lru_cache(maxsize=1024)
+def _str_words(tag: str) -> tuple[int, ...]:
+    return (_STR_TAG, *_words(len(tag)), *_words(int.from_bytes(tag.encode("utf-8"), "little")))
+
+
+def _encode(tag: Tag) -> tuple[int, ...]:
+    """The entropy words of one tag: a type discriminator, then the value."""
     if isinstance(tag, (int, np.integer)):
         value = int(tag)
         if value < 0:
             raise ValueError(f"rng tags must be non-negative, got {value}")
-        return [_INT_TAG, value]
+        return (_INT_TAG, *_words(value))
     if isinstance(tag, str):
-        return [_STR_TAG, len(tag), int.from_bytes(tag.encode("utf-8"), "little")]
+        return _str_words(tag)
     raise TypeError(f"rng tags must be int or str, got {type(tag).__name__}")
 
 
 def _seed_sequence(seed: int, tags: tuple[Tag, ...]) -> np.random.SeedSequence:
-    entropy: list[int] = _encode(seed)
+    entropy = list(_encode(seed))
     for tag in tags:
         entropy.extend(_encode(tag))
-    return np.random.SeedSequence(entropy)
+    return np.random.SeedSequence(np.array(entropy, np.uint32))
 
 
 def substream(seed: int, *tags: Tag) -> np.random.Generator:

@@ -663,6 +663,28 @@ class TestKernelExactness:
         assert_matches_brute_force(states, None, math.exp(1), "on", perms)
         assert unique_calls
 
+    @pytest.mark.parametrize(
+        "n_states,n_rows,grid",
+        [(4, 30, True), (40, None, False), (20, 6, False)],
+        ids=["dense-grid", "continuous", "few-tuples-in-large-grid"],
+    )
+    def test_table_fold_sides(self, monkeypatch, n_states, n_rows, grid):
+        """M = 3 folds the table gradient through the (first x second) state
+        grid when it is dense next to the table, and scatters it otherwise:
+        16 cells for 7-16 tuples; 1,600 cells for about 80 tuples; 400 cells
+        for at most 12 tuples, most states unused."""
+        scatters = []
+        scatter = objectives._scatter_rows
+        monkeypatch.setattr(
+            objectives, "_scatter_rows", lambda *a: scatters.append(1) or scatter(*a)
+        )
+        rng = np.random.default_rng(80 + n_states)
+        states = rand_reps(rng, "xyz", n_states, 3)
+        rows = n_rows and {k: rng.integers(0, n_states, n_rows) for k in "xyz"}
+        perms = self.perms_for("xyz", n_rows or n_states, "on")
+        assert_matches_brute_force(states, rows, math.exp(1), "on", perms)
+        assert bool(scatters) != grid
+
     def test_rows_out_of_range_rejected(self):
         rng = np.random.default_rng(71)
         states = rand_reps(rng, "xy", 3, 2)
